@@ -123,6 +123,58 @@ let campaign_pair () =
     ("trial-reset-vs-rebuild-ns", rebuild_trial_ns -. reset_trial_ns);
     ("trial-reset-speedup", rebuild_trial_ns /. reset_trial_ns) ]
 
+(* Where campaign-t1's host time goes: its trials on one domain, split
+   into exception storms and the rest.  The trial is campaign-t1's
+   (restore, a 10-fault burst, 40,000 ticks, the judge) without the
+   pool and the obs publishing.  A trial is a storm when more than a
+   tenth of its ticks were exception entries: a corrupted IDTR sends
+   every #UD back into faulting code until the watchdog's NMI. *)
+let storm_split () =
+  let trials = if smoke then 300 else 6_000 in
+  let master = 77L and horizon = 40_000 in
+  let system = Ssos.Reinstall.build ~obs:false () in
+  Ssos.System.run system ~ticks:10_000;
+  let machine = system.Ssos.System.machine in
+  let snapshot = Ssx.Snapshot.capture machine in
+  let counters = Ssx.Machine.attach_tick_counters machine in
+  let spec = Ssos.Reinstall.weak_spec () in
+  let storms = ref 0 and recoveries = ref 0 in
+  let storm_ns = ref 0. and ordinary_ns = ref 0. in
+  for i = 0 to trials - 1 do
+    let exceptions = counters.Ssx.Tick_counters.exceptions in
+    let recovered, ns =
+      timed "campaign-t1-split-trial" (fun () ->
+          Ssx.Snapshot.restore snapshot machine;
+          ignore
+            (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system)
+               ~rng:(Ssx_faults.Rng.create (Ssx_faults.Rng.derive master i))
+               ~space:Ssos.System.default_fault_space 10);
+          Ssos.System.run system ~ticks:horizon;
+          Ssx_stab.Convergence.converged
+            (Ssx_stab.Convergence.judge ~spec
+               ~samples:(Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
+               ~end_tick:(Ssx.Machine.ticks machine)))
+    in
+    if recovered then incr recoveries;
+    if (counters.Ssx.Tick_counters.exceptions - exceptions) * 10 > horizon then begin
+      incr storms;
+      storm_ns := !storm_ns +. ns
+    end
+    else ordinary_ns := !ordinary_ns +. ns
+  done;
+  let share = !storm_ns /. (!storm_ns +. !ordinary_ns) in
+  let ordinary_us = !ordinary_ns /. float_of_int (trials - !storms) /. 1e3 in
+  Format.printf "== campaign-t1 split (%d trials, master 77, one domain) ==@."
+    trials;
+  Format.printf "  storm trials:                  %11d@." !storms;
+  Format.printf "  storm share of host time:      %11.2f@." share;
+  Format.printf "  ordinary trial:                %11.1f us@." ordinary_us;
+  Format.printf "  recoveries:                    %11d@.@." !recoveries;
+  [ ("campaign-t1-split-trials", float_of_int trials);
+    ("campaign-t1-storm-trials", float_of_int !storms);
+    ("campaign-t1-storm-share", share);
+    ("campaign-t1-ordinary-trial-us", ordinary_us) ]
+
 (* --------------------------------------------------- network cluster *)
 
 (* Cluster throughput and the distributed campaign engine.  Same shape
@@ -367,20 +419,22 @@ let rsm_bench () =
       ("rsm-serve-shards-identical", if identical then 1.0 else 0.0) ]
 
 (* Differential-fuzzer throughput: a fixed-seed campaign against the
-   lib/fuzz reference-interpreter oracle — jobs:1 vs jobs:4 (with the
-   block compiler, the default) plus a jobs:1 pass through the plain
-   interpreter.  All summaries must be bit-identical (shard seeds
-   depend only on the campaign seed, results merge in shard order, and
-   the compiler never changes observable execution); the interesting
-   numbers are trial programs/sec and lock-step ticks/sec. *)
+   lib/fuzz reference-interpreter oracle — jobs:1 vs jobs:[pair_jobs]
+   (with the block compiler, the default) plus a jobs:1 pass through
+   the plain interpreter.  All summaries must be bit-identical (shard
+   seeds depend only on the campaign seed, results merge in shard
+   order, and the compiler never changes observable execution); the
+   interesting numbers are trial programs/sec and lock-step
+   ticks/sec. *)
 let fuzz_bench () =
   let iters = if smoke then 300 else 2_000 in
   Format.printf "== Differential fuzzer (%d programs, seed 9) ==@." iters;
   let run ~jit ~span jobs =
     timed span (fun () -> Ssx_fuzz.Fuzz_loop.run ~jobs ~jit ~seed:9L ~iters ())
   in
+  let jobs_n = Printf.sprintf "jobs%d" pair_jobs in
   let seq_summary, seq_ns = run ~jit:true ~span:"fuzz-jobs1" 1 in
-  let par_summary, par_ns = run ~jit:true ~span:"fuzz-jobs4" 4 in
+  let par_summary, par_ns = run ~jit:true ~span:("fuzz-" ^ jobs_n) pair_jobs in
   let nojit_summary, nojit_ns = run ~jit:false ~span:"fuzz-nojit" 1 in
   let rate ns = float_of_int iters /. (ns /. 1e9) in
   let tick_rate summary ns =
@@ -389,7 +443,7 @@ let fuzz_bench () =
   let identical = seq_summary = par_summary && seq_summary = nojit_summary in
   Format.printf "  jobs:1 %12.0f programs/sec %12.0f ticks/sec@."
     (rate seq_ns) (tick_rate seq_summary seq_ns);
-  Format.printf "  jobs:4 %12.0f programs/sec %12.0f ticks/sec@."
+  Format.printf "  jobs:%d %12.0f programs/sec %12.0f ticks/sec@." pair_jobs
     (rate par_ns) (tick_rate par_summary par_ns);
   Format.printf "  no-jit %12.0f programs/sec %12.0f ticks/sec@."
     (rate nojit_ns) (tick_rate nojit_summary nojit_ns);
@@ -397,14 +451,15 @@ let fuzz_bench () =
     (nojit_ns /. seq_ns);
   Format.printf "  summaries bit-identical:       %11s@.@."
     (if identical then "yes" else "NO (BUG)");
+  assert_identical ("fuzz jobs:1 vs " ^ jobs_n ^ " vs no-jit") identical;
   [ ("fuzz-programs-per-sec-jobs1", rate seq_ns);
-    ("fuzz-programs-per-sec-jobs4", rate par_ns);
+    ("fuzz-programs-per-sec-" ^ jobs_n, rate par_ns);
     ("fuzz-programs-per-sec-nojit", rate nojit_ns);
     ("fuzz-ticks-per-sec-jobs1", tick_rate seq_summary seq_ns);
-    ("fuzz-ticks-per-sec-jobs4", tick_rate par_summary par_ns);
+    ("fuzz-ticks-per-sec-" ^ jobs_n, tick_rate par_summary par_ns);
     ("fuzz-ticks-per-sec-nojit", tick_rate nojit_summary nojit_ns);
     ("fuzz-jit-speedup", nojit_ns /. seq_ns);
-    ("fuzz-speedup", seq_ns /. par_ns);
+    ("fuzz-" ^ jobs_n ^ "-vs-jobs1-speedup", seq_ns /. par_ns);
     ("fuzz-programs", float_of_int iters);
     ("fuzz-coverage-points",
      float_of_int seq_summary.Ssx_fuzz.Fuzz_loop.coverage_points);
@@ -508,8 +563,13 @@ let guest_cycle_costs () =
    before every timed block, min over interleaved rounds: reinstall on
    the heartbeat kernel (the guest of T1 and campaign-t1), and
    reinstall and the monitor on the task kernel (the monitor's guest).
-   Then the per-trial time of a burst-40, jobs-1 campaign of reinstall
-   and of the monitor, both on the task kernel, min over interleaved
+   A fourth slot in the same rounds times a storm tick: master 77's
+   campaign-t1 trial 31 (reinstall, 10,000 warmup ticks, a 10-fault
+   burst), whose burst corrupts the IDTR into a #UD that vectors to
+   the opcode that raised it, 2,000 ticks into the storm; its block
+   ends before the watchdog's NMI, 40,000 ticks after the burst.  Then
+   the per-trial time of a burst-40, jobs-1 campaign of reinstall and
+   of the monitor, both on the task kernel, min over interleaved
    rounds; their ratio is the monitor's cost over reinstall on the
    same guest. *)
 let design_costs () =
@@ -527,34 +587,49 @@ let design_costs () =
   in
   let rounds = if smoke then 2 else 15 in
   let block = if smoke then 20_000 else 200_000 in
+  let storm_block = if smoke then 20_000 else 36_000 in
   let monitor () = (Ssos.Monitor.build ()).Ssos.Monitor.system in
   let reinstall_task () =
     Ssos.Reinstall.build ~guest:(Ssos.Guest.task_kernel ()) ()
   in
-  let pairs =
-    [| ("reinstall-heartbeat", fun () -> Ssos.Reinstall.build ());
-       ("reinstall-task", reinstall_task);
-       ("monitor-task", monitor) |]
+  let warm build () =
+    let system = build () in
+    Ssos.System.run system ~ticks:30_000;
+    system
+  in
+  let storm () =
+    let system = Ssos.Reinstall.build () in
+    Ssos.System.run system ~ticks:10_000;
+    ignore
+      (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system)
+         ~rng:(Ssx_faults.Rng.create (Ssx_faults.Rng.derive 77L 31))
+         ~space:Ssos.System.default_fault_space 10);
+    Ssos.System.run system ~ticks:2_000;
+    system
+  in
+  (* Row name, warmed system, ticks per timed block. *)
+  let slots =
+    [| ("clean-tick-reinstall-heartbeat", warm (fun () -> Ssos.Reinstall.build ()), block);
+       ("clean-tick-reinstall-task", warm reinstall_task, block);
+       ("clean-tick-monitor-task", warm monitor, block);
+       ("storm-tick", storm, storm_block) |]
   in
   let warmed =
     Array.map
-      (fun (_, build) ->
-        let system = build () in
-        Ssos.System.run system ~ticks:30_000;
-        (system.Ssos.System.machine,
-         Ssx.Snapshot.capture system.Ssos.System.machine))
-      pairs
+      (fun (_, warmed, _) ->
+        let machine = (warmed ()).Ssos.System.machine in
+        (machine, Ssx.Snapshot.capture machine))
+      slots
   in
   let tick_ns =
-    min_interleaved ~rounds (Array.length pairs) (fun slot ->
+    min_interleaved ~rounds (Array.length slots) (fun slot ->
         let machine, snapshot = warmed.(slot) in
+        let name, _, ticks = slots.(slot) in
         Ssx.Snapshot.restore snapshot machine;
         let (), ns =
-          timed
-            ("clean-tick-" ^ fst pairs.(slot))
-            (fun () -> Ssx.Machine.run machine ~ticks:block)
+          timed name (fun () -> Ssx.Machine.run machine ~ticks)
         in
-        ns /. float_of_int block)
+        ns /. float_of_int ticks)
   in
   let trials = if smoke then 4 else 100 in
   let campaign_rounds = if smoke then 1 else 3 in
@@ -579,9 +654,15 @@ let design_costs () =
         ns /. float_of_int trials)
   in
   let ratio = trial_ns.(1) /. trial_ns.(0) in
-  let rows prefix names values =
+  let tick_rows =
     Array.to_list
-      (Array.mapi (fun i (name, _) -> (prefix ^ name ^ "-ns", values.(i))) names)
+      (Array.mapi (fun i (name, _, _) -> (name ^ "-ns", tick_ns.(i))) slots)
+  in
+  let trial_rows =
+    Array.to_list
+      (Array.mapi
+         (fun i (name, _) -> ("campaign-trial-" ^ name ^ "-ns", trial_ns.(i)))
+         campaigns)
   in
   Format.printf
     "== Design costs (min of %d rounds; campaigns: %d trials, burst 40, \
@@ -589,14 +670,15 @@ let design_costs () =
     rounds trials campaign_rounds;
   List.iter
     (fun (name, v) -> Format.printf "  %-34s %12.1f@." name v)
-    (rows "clean-tick-" pairs tick_ns @ rows "campaign-trial-" campaigns trial_ns);
+    (tick_rows @ trial_rows);
   Format.printf "  monitor-vs-reinstall (task):       %11.2fx@.@." ratio;
   [ ("design-cost-rounds", float_of_int rounds);
-    ("design-cost-block-ticks", float_of_int block) ]
-  @ rows "clean-tick-" pairs tick_ns
+    ("design-cost-block-ticks", float_of_int block);
+    ("storm-block-ticks", float_of_int storm_block) ]
+  @ tick_rows
   @ [ ("design-campaign-trials", float_of_int trials);
       ("design-campaign-rounds", float_of_int campaign_rounds) ]
-  @ rows "campaign-trial-" campaigns trial_ns
+  @ trial_rows
   @ [ ("campaign-monitor-vs-reinstall-task", ratio) ]
 
 let print_guest_cycle_costs costs =
@@ -876,6 +958,7 @@ let () =
      Operating Systems' (Dolev & Yagel)@.@.";
   run_tables ();
   let campaign_rows = campaign_pair () in
+  let campaign_rows = campaign_rows @ storm_split () in
   let net_rows = net_bench () @ net_scale_bench () in
   let rsm_rows = rsm_bench () in
   let fuzz_rows = fuzz_bench () in

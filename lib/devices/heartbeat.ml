@@ -28,7 +28,3 @@ let attach hb ?(port = default_port) machine =
 let samples hb = List.rev hb.samples
 let last hb = match hb.samples with [] -> None | s :: _ -> Some s
 let count hb = hb.n
-
-let clear hb =
-  hb.samples <- [];
-  hb.n <- 0

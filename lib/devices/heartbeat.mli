@@ -24,4 +24,3 @@ val samples : t -> sample list
 
 val last : t -> sample option
 val count : t -> int
-val clear : t -> unit

@@ -806,6 +806,9 @@ let t12_soft_error_rates ?(seed = 12L) ?(trials = 3) ?jobs () =
 
 let t13_exhaustive_sweeps ?(seed = 13L) () =
   ignore seed;
+  (* Every case starts from the same state: each sweep builds and warms
+     one machine, captures it, and restores the capture before every
+     case. *)
   (* Sweep 1: the primitive scheduler from EVERY instruction-pointer
      value (cs fixed at the ROM segment).  Self-stabilization quantifies
      over all states; here we enumerate one whole dimension instead of
@@ -813,14 +816,13 @@ let t13_exhaustive_sweeps ?(seed = 13L) () =
   let prim_total = 0x10000 and prim_stride = 1 in
   let prim_failures = ref 0 in
   let round_bound = 4 * Ssos.Primitive_sched.region_size in
-  (* One machine serves the whole sweep: only the control state is the
-     experiment's variable, and process data carries over harmlessly
-     (their counters simply keep growing). *)
   let sched = Ssos.Primitive_sched.build () in
   let machine = sched.Ssos.Primitive_sched.machine in
+  let booted = Ssx.Snapshot.capture machine in
   let regs = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
   let ip = ref 0 in
   while !ip < prim_total do
+    Ssx.Snapshot.restore booted machine;
     regs.Ssx.Registers.cs <- Ssos.Layout.rom_segment;
     regs.Ssx.Registers.ip <- !ip;
     let before =
@@ -834,7 +836,6 @@ let t13_exhaustive_sweeps ?(seed = 13L) () =
     (match Ssx.Machine.run_until machine ~limit:round_bound (fun _ -> all_beat ()) with
     | Some _ -> ()
     | None -> incr prim_failures);
-    Array.iter Ssx_devices.Heartbeat.clear sched.Ssos.Primitive_sched.heartbeats;
     ip := !ip + prim_stride
   done;
   (* Sweep 2: every word of the section 5.2 scheduler's soft state
@@ -850,14 +851,16 @@ let t13_exhaustive_sweeps ?(seed = 13L) () =
           Ssx.Addr.physical ~seg:Ssos.Layout.sched_stack_segment
             ~off:(Ssos.Layout.sched_stack_top - 6 + (2 * i)))
   in
+  let sched = Ssos.Sched.build ~n () in
+  let machine = sched.Ssos.Sched.machine in
+  Ssx.Machine.run machine ~ticks:100_000;
+  let warmed = Ssx.Snapshot.capture machine in
   List.iter
     (fun addr ->
       List.iter
         (fun value ->
           incr sched_runs;
-          let sched = Ssos.Sched.build ~n () in
-          let machine = sched.Ssos.Sched.machine in
-          Ssx.Machine.run machine ~ticks:100_000;
+          Ssx.Snapshot.restore warmed machine;
           Ssx.Memory.write_word (Ssx.Machine.memory machine) addr value;
           let before =
             Array.map Ssx_devices.Heartbeat.count sched.Ssos.Sched.heartbeats
@@ -880,11 +883,13 @@ let t13_exhaustive_sweeps ?(seed = 13L) () =
      the Figure 1 design (every 4th offset, forced to 0xFF). *)
   let reinstall_runs = ref 0 and reinstall_failures = ref 0 in
   let spec = Ssos.Reinstall.weak_spec ~window:10_000 () in
+  let system = Ssos.Reinstall.build () in
+  Ssos.System.run system ~ticks:10_000;
+  let warmed = Ssx.Snapshot.capture system.Ssos.System.machine in
   let offset = ref 0 in
   while !offset < Ssos.Layout.os_image_size do
     incr reinstall_runs;
-    let system = Ssos.Reinstall.build () in
-    Ssos.System.run system ~ticks:10_000;
+    Ssx.Snapshot.restore warmed system.Ssos.System.machine;
     Ssx.Memory.write_byte
       (Ssx.Machine.memory system.Ssos.System.machine)
       ((Ssos.Layout.os_segment lsl 4) + !offset)

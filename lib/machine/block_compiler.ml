@@ -450,6 +450,9 @@ let compile_op instr ~ip0 ~len : op =
         event)
   | Ret ->
     mk (fun cpu -> cpu.Cpu.regs.ip <- Cpu.pop cpu; event)
+  | Invalid _ ->
+    (* #UD, entered without raising; [service] overwrites ip. *)
+    mk (fun cpu -> Cpu.take_exception cpu Cpu.vec_invalid_opcode ~return_ip:ip0)
   | Rep body -> generic ~shape:(Rep_string (string_unit body ~ip0 ~len, ip1)) ()
   | In_ _ | Out _ | In_dx _ | Out_dx _ -> generic ~shape:Port_io ()
   | _ -> generic ()
@@ -689,7 +692,15 @@ let run_window t cpu ~(c : Tick_counters.t) ~fuel =
             decr fuel;
             if ev != op.base_event then begin
               incr faults;
-              stop := true
+              (* A fault that vectors to this block's first op while
+                 its bytes are unchanged: re-enter it, as the lookup
+                 would. *)
+              if
+                b.b_cs = r.cs
+                && (Array.unsafe_get ops 0).op_ip = r.ip
+                && fresh t b
+              then ix := 0
+              else stop := true
             end
             else if op.writes_mem && not (fresh t b) then stop := true
           done;

@@ -52,8 +52,14 @@ val run_quiet :
     polling: one closure call per op, self-targeting [loop]s and [hlt]
     idle in closed form, and [rep movs/stos/lods] as bursts (every byte
     still through {!Memory.write_byte}; a burst ends when [cx] drains
-    or a write changes the block's own bytes).  The window's ticks are
-    then applied to every device with {!Device.advance}.  A window stops
+    or a write changes the block's own bytes).  An undecodable opcode
+    enters #UD through {!Cpu.take_exception}, without a raise; a fault
+    whose handler is the first op of its own block re-enters that block
+    in place while its bytes are unchanged (the block the table lookup
+    would find), so a self-vectoring exception storm stays in the
+    window at the cost of each entry's real {!Cpu.service}.  The
+    window's ticks are then applied to every device with
+    {!Device.advance}.  A window stops
     before port I/O and uncompilable positions, and that tick runs
     through the per-tick path, so port handlers see exactly the device
     state, [steps] and NMI countdown they would under the interpreter.

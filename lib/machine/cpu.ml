@@ -67,12 +67,6 @@ let reset cpu =
 let raise_nmi cpu = cpu.nmi_pin <- true
 let raise_intr cpu vector = cpu.intr <- Some vector
 
-let read_idt_entry cpu ~base vector =
-  let entry = Addr.mask (base + (4 * vector)) in
-  let off = Memory.read_word cpu.mem entry in
-  let seg = Memory.read_word cpu.mem (Addr.mask (entry + 2)) in
-  (seg, off)
-
 (* --- memory helpers ------------------------------------------------- *)
 
 let effective_address cpu (m : Instruction.mem) =
@@ -99,15 +93,20 @@ let write_mem16 cpu m v = Memory.write_word cpu.mem (effective_address cpu m) v
 let read_mem8 cpu m = Memory.read_byte cpu.mem (effective_address cpu m)
 let write_mem8 cpu m v = Memory.write_byte cpu.mem (effective_address cpu m) v
 
+(* The stack's word and address arithmetic is written out: the default
+   (dev) build compiles every module [-opaque], so [Word.mask] and
+   [Addr.physical] would each be a call, three times per exception
+   entry.  The memory's word paths wrap the physical address. *)
 let push cpu v =
   let r = cpu.regs in
-  r.sp <- Word.mask (r.sp - 2);
-  Memory.write_word cpu.mem (Addr.physical ~seg:r.ss ~off:r.sp) v
+  let sp = (r.sp - 2) land 0xffff in
+  r.sp <- sp;
+  Memory.write_word cpu.mem ((r.ss lsl 4) + sp) v
 
 let pop cpu =
   let r = cpu.regs in
-  let v = Memory.read_word cpu.mem (Addr.physical ~seg:r.ss ~off:r.sp) in
-  r.sp <- Word.mask (r.sp + 2);
+  let v = Memory.read_word cpu.mem ((r.ss lsl 4) + r.sp) in
+  r.sp <- (r.sp + 2) land 0xffff;
   v
 
 (* --- interrupt dispatch --------------------------------------------- *)
@@ -128,9 +127,9 @@ let service cpu vector ~nmi ~return_ip =
     | true, Hardwired_idt fixed -> fixed
     | true, Via_idtr | false, _ -> cpu.idtr
   in
-  let seg, off = read_idt_entry cpu ~base vector in
-  r.cs <- seg;
-  r.ip <- off;
+  let entry = base + (4 * vector) in
+  r.ip <- Memory.read_word cpu.mem entry;
+  r.cs <- Memory.read_word cpu.mem (entry + 2);
   cpu.halted <- false
 
 exception Fault of int
@@ -521,16 +520,33 @@ let trap cpu event =
   cpu.on_trap event;
   event
 
+(* Entry events for every vector an [int] can name, built once so an
+   entry allocates nothing.  A vector outside the table gets a fresh,
+   equal value. *)
+let exception_events = Array.init 256 (fun v -> Took_exception v)
+let interrupt_events = Array.init 256 (fun vector -> Took_interrupt { vector; nmi = false })
+let nmi_event = Took_interrupt { vector = vec_nmi; nmi = true }
+
+let exception_event vector =
+  if vector >= 0 && vector < 256 then Array.unsafe_get exception_events vector
+  else Took_exception vector
+
+let interrupt_event vector =
+  if vector >= 0 && vector < 256 then Array.unsafe_get interrupt_events vector
+  else Took_interrupt { vector; nmi = false }
+
+(* Faults push the address of the faulting instruction. *)
+let take_exception cpu vector ~return_ip =
+  service cpu vector ~nmi:false ~return_ip;
+  trap cpu (exception_event vector)
+
 (* Advance past the instruction and run it.  [event] is the [Executed]
    value to return on normal completion, prebuilt by the caller. *)
 let dispatch cpu instr ~ip0 ~len event =
   cpu.regs.ip <- Word.mask (ip0 + len);
   match execute cpu instr ~ip0 ~len with
   | () -> event
-  | exception Fault vector ->
-    (* Faults push the address of the faulting instruction. *)
-    service cpu vector ~nmi:false ~return_ip:ip0;
-    trap cpu (Took_exception vector)
+  | exception Fault vector -> take_exception cpu vector ~return_ip:ip0
 
 (* Fetch-decode-execute from the raw bytes now in memory: the reference
    the block compiler is checked against. *)
@@ -565,14 +581,14 @@ let step_with cpu execute =
     if cpu.nmi_pin && nmi_acceptable cpu then begin
       cpu.nmi_pin <- false;
       service cpu vec_nmi ~nmi:true ~return_ip:cpu.regs.ip;
-      trap cpu (Took_interrupt { vector = vec_nmi; nmi = true })
+      trap cpu nmi_event
     end
     else
       match cpu.intr with
       | Some vector when Flags.get cpu.regs.psw Flags.Interrupt ->
         cpu.intr <- None;
         service cpu vector ~nmi:false ~return_ip:cpu.regs.ip;
-        trap cpu (Took_interrupt { vector; nmi = false })
+        trap cpu (interrupt_event vector)
       | Some _ | None ->
         if cpu.halted then Halted_idle else execute cpu
   end

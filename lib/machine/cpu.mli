@@ -112,9 +112,6 @@ val step_with : t -> (t -> event) -> event
     taken and the processor is not halted.  [execute] must behave as
     {!exec_one}; the block compiler passes its table lookup. *)
 
-val read_idt_entry : t -> base:int -> int -> Word.t * Word.t
-(** [(segment, offset)] of a vector's handler in the IDT at [base]. *)
-
 (** {1 Execution internals}
 
     Exported for {!Block_compiler}, which pre-compiles straight-line
@@ -127,7 +124,16 @@ exception Fault of int
 
 val service : t -> int -> nmi:bool -> return_ip:Word.t -> unit
 (** Deliver an interrupt/exception: push psw/cs/[return_ip], clear IF,
-    arm the NMI counter (when [nmi]) and load the handler address. *)
+    arm the NMI counter (when [nmi]) and load the handler address (two
+    {!Memory.read_word}s of the IDT entry: offset, then segment). *)
+
+val take_exception : t -> int -> return_ip:Word.t -> event
+(** [take_exception cpu vector ~return_ip] is one exception entry:
+    {!service}, then {!field-on_trap} with the [Took_exception vector]
+    event, which it returns.  Like the events of interrupt entries, it
+    is built once per vector 0-255, so an entry allocates nothing and
+    raises nothing: its cost is the three stack words and the IDT read.
+    The block compiler compiles [Invalid] to this. *)
 
 val execute : t -> Instruction.t -> ip0:Word.t -> len:int -> unit
 (** Run one already-decoded instruction.  [r.ip] must already be
@@ -135,9 +141,8 @@ val execute : t -> Instruction.t -> ip0:Word.t -> len:int -> unit
 
 val dispatch : t -> Instruction.t -> ip0:Word.t -> len:int -> event -> event
 (** Advance [ip] past the instruction, {!execute} it, and turn a
-    {!Fault} into IDT dispatch + [Took_exception] (calling
-    {!field-on_trap} with it).  [event] is the prebuilt [Executed] value
-    returned on normal completion. *)
+    {!Fault} into {!take_exception} at [ip0].  [event] is the prebuilt
+    [Executed] value returned on normal completion. *)
 
 val exec_one : t -> event
 (** Fetch-decode-execute at the current [cs:ip], decoding the raw bytes

@@ -24,7 +24,7 @@ let create () =
     writes = 0;
     rom_refusals = 0 }
 
-let is_protected mem addr =
+let[@inline] is_protected mem addr =
   Char.code (Bytes.unsafe_get mem.prot (addr lsr 3)) land (1 lsl (addr land 7)) <> 0
 
 let protected_regions mem = mem.rom
@@ -60,12 +60,41 @@ let unsafe_contents mem = mem.data
 let write_count mem = mem.writes
 let rom_refusal_count mem = mem.rom_refusals
 
-let read_word mem addr =
-  Word.of_bytes ~low:(read_byte mem addr) ~high:(read_byte mem (Addr.mask (addr + 1)))
+(* Native-order 16-bit loads and stores, unchecked: callers keep
+   [addr + 1] inside the array. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external swap16 : int -> int = "%bswap16"
 
+(* The last address, which is also the address mask ([size] is a power
+   of two): masking inline keeps a call off every stack push. *)
+let last = size - 1
+
+let read_word mem addr =
+  let addr = addr land last in
+  if addr = last then
+    Word.of_bytes ~low:(read_byte mem addr) ~high:(read_byte mem 0)
+  else if Sys.big_endian then swap16 (get16 mem.data addr)
+  else get16 mem.data addr
+
+(* One store when the word neither wraps nor touches ROM: the bytes,
+   the write count and the moved pages are those of the two
+   {!write_byte}s it stands for, and one stamp serves both pages
+   (generations need only be fresh).  Otherwise it is those two. *)
 let write_word mem addr w =
-  write_byte mem addr (Word.low_byte w);
-  write_byte mem (Addr.mask (addr + 1)) (Word.high_byte w)
+  let addr = addr land last in
+  if addr = last || is_protected mem addr || is_protected mem (addr + 1) then begin
+    write_byte mem addr (Word.low_byte w);
+    write_byte mem (addr + 1) (Word.high_byte w)
+  end
+  else begin
+    set16 mem.data addr (if Sys.big_endian then swap16 (w land 0xffff) else w);
+    mem.writes <- mem.writes + 2;
+    let s = mem.stamp + 1 in
+    mem.stamp <- s;
+    Array.unsafe_set mem.gens (addr lsr page_shift) s;
+    Array.unsafe_set mem.gens ((addr + 1) lsr page_shift) s
+  end
 
 (* [f dst src n] over the stretches of [len] bytes from [base] that do
    not wrap the address space: one call unless the range wraps (or is

@@ -21,10 +21,18 @@ val write_byte : t -> int -> int -> unit
 (** [write_byte mem addr v]; ignored when [addr] lies in ROM. *)
 
 val read_word : t -> int -> Word.t
-(** Little-endian 16-bit read. *)
+(** Little-endian 16-bit read at physical [addr] (wrapped to 20 bits):
+    one 16-bit load, or the two {!read_byte}s when the word wraps the
+    end of memory. *)
 
 val write_word : t -> int -> Word.t -> unit
-(** Little-endian 16-bit write; each byte individually ROM-checked. *)
+(** Little-endian 16-bit write at physical [addr] (wrapped to 20 bits),
+    ROM-checked per byte: one 16-bit store when neither byte is
+    protected and the word does not wrap the end of memory, otherwise
+    the two {!write_byte}s it stands for.  Either way the bytes,
+    {!write_count}, {!rom_refusal_count} and the set of pages whose
+    generation moves are those of the two byte writes; the one store
+    gives both its pages one fresh stamp. *)
 
 val force_write_byte : t -> int -> int -> unit
 (** Write bypassing ROM protection — used only to initialise ROM images

@@ -9,8 +9,9 @@
    engines tick by tick; the unprefixed seed-workload cases drive
    [Machine.run], and the unprefixed fault cases rewind a faulted
    machine to a snapshot.  The trap cases check [Cpu.on_trap] on three
-   runners.  The raw interpreter is itself checked
-   against the fuzzer's independent oracle on self-modifying code. *)
+   runners, self-vectoring #UD storms among them.  The raw interpreter
+   is itself checked against the fuzzer's independent oracle on
+   self-modifying code. *)
 
 let pp_event ppf = function
   | Ssx.Cpu.Executed i -> Format.fprintf ppf "executed %a" Ssx.Instruction.pp i
@@ -1101,12 +1102,13 @@ let run_in_chunks machine ~ticks =
   done
 
 (* [prepare ~jit ~seed] builds, warms and corrupts a machine; its next
-   [ticks] ticks are logged on the three runners.  [expect] sees every
-   seed's expected log and asserts the workload took the traps the
-   test is about. *)
+   [ticks] ticks are logged on the three runners, which must also count
+   the same memory writes and ROM refusals.  [expect] sees every seed's
+   expected log and windowed machine, and asserts the workload took the
+   traps (and did the writes) the test is about. *)
 let trap_differential name ~ticks ~seeds prepare ~expect =
   Helpers.case name (fun () ->
-      let logs =
+      let runs =
         List.map
           (fun seed ->
             let name = Printf.sprintf "%s, seed %d" name seed in
@@ -1133,10 +1135,18 @@ let trap_differential name ~ticks ~seeds prepare ~expect =
             Helpers.check_string (name ^ ": same final machine")
               (Ssx.Snapshot.digest (Ssx.Snapshot.capture raw))
               (Ssx.Snapshot.digest (Ssx.Snapshot.capture windowed));
-            expected)
+            let raw_mem = Ssx.Machine.memory raw
+            and windowed_mem = Ssx.Machine.memory windowed in
+            Helpers.check_int (name ^ ": same write count")
+              (Ssx.Memory.write_count raw_mem)
+              (Ssx.Memory.write_count windowed_mem);
+            Helpers.check_int (name ^ ": same ROM refusals")
+              (Ssx.Memory.rom_refusal_count raw_mem)
+              (Ssx.Memory.rom_refusal_count windowed_mem);
+            (expected, windowed))
           seeds
       in
-      expect name (List.concat logs))
+      expect name (List.concat_map fst runs) (List.map snd runs))
 
 let count_traps log p = List.length (List.filter (fun t -> p t.event) log)
 
@@ -1148,7 +1158,7 @@ let maskable = function
 
 let exception_ = function Ssx.Cpu.Took_exception _ -> true | _ -> false
 
-let expect_kinds kinds name log =
+let expect_kinds kinds name log _machines =
   List.iter
     (fun (label, p) ->
       Helpers.check_bool
@@ -1185,6 +1195,117 @@ let monitor_burst ~jit ~seed =
   burst ~seed ~n:40 (Ssos.System.fault_system system)
     Ssos.System.default_fault_space;
   system.Ssos.System.machine
+
+(* --- exception storms ------------------------------------------------- *)
+
+(* A bare machine in a self-vectoring #UD storm: zero bytes decode to
+   [Invalid], and the #UD entry of the IDT at [idtr] points back at
+   [cs]:0, so every tick is an exception entry that vectors to the
+   opcode that raised it and pushes three more words below
+   [ss]:([sp] + [seed]).  This is the IDTR hazard of the paper's §1 in
+   its purest form; where the frames land decides what else happens. *)
+let storm ?(rom = []) ?(psw = 0) ?(cs = 0) ~ss ~sp ~idtr ~jit ~seed () =
+  let machine = Ssx.Machine.create ~jit () in
+  let mem = Ssx.Machine.memory machine in
+  let cpu = Ssx.Machine.cpu machine in
+  let entry = idtr + (4 * Ssx.Cpu.vec_invalid_opcode) in
+  Ssx.Memory.write_word mem entry 0;
+  Ssx.Memory.write_word mem (entry + 2) cs;
+  List.iter (Ssx.Memory.protect mem) rom;
+  cpu.Ssx.Cpu.idtr <- idtr;
+  let regs = cpu.Ssx.Cpu.regs in
+  regs.Ssx.Registers.cs <- cs;
+  regs.Ssx.Registers.ip <- 0;
+  regs.Ssx.Registers.ss <- ss;
+  regs.Ssx.Registers.sp <- sp + seed;
+  regs.Ssx.Registers.psw <- psw;
+  machine
+
+let clear_storm = storm ~ss:0x1000 ~sp:0x5000 ~idtr:0x7D090
+
+(* A campaign-t1 trial (master 77) up to its first horizon tick:
+   reinstall, 10,000 warmup ticks, a 10-fault burst.  Trials 6 and 31
+   corrupt the IDTR into a one-address #UD loop. *)
+let campaign_t1_trial ~jit ~seed =
+  let system = Ssos.Reinstall.build ~jit () in
+  Ssos.System.run system ~ticks:10_000;
+  ignore
+    (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system)
+       ~rng:(Ssx_faults.Rng.create (Ssx_faults.Rng.derive 77L seed))
+       ~space:Ssos.System.default_fault_space 10);
+  system.Ssos.System.machine
+
+let expect_mostly_exceptions ~ticks name log machines =
+  Helpers.check_bool
+    (name ^ ": most ticks were exception entries")
+    true
+    (count_traps log exception_ * 2 > ticks * List.length machines)
+
+let expect_on_machines what p name _log machines =
+  Helpers.check_bool (name ^ ": " ^ what) true (List.exists p machines)
+
+let retranslated machine =
+  Ssx.Block_compiler.retranslations (jit_of "storm" machine) > 0
+
+let handlers log =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun t -> if exception_ t.event then Some (t.cs, t.ip) else None)
+       log)
+
+let refused machine =
+  Ssx.Memory.rom_refusal_count (Ssx.Machine.memory machine) > 0
+
+let byte0_written machine = Ssx.Memory.read_byte (Ssx.Machine.memory machine) 0 <> 0
+
+(* A jit storm tick allocates nothing: no raise, no tuple, no event. *)
+let test_storm_allocation () =
+  let machine = clear_storm ~jit:true ~seed:0 () in
+  Ssx.Machine.run machine ~ticks:100;
+  let before = Gc.minor_words () in
+  Ssx.Machine.run machine ~ticks:30_000;
+  let words = Gc.minor_words () -. before in
+  Helpers.check_bool
+    (Printf.sprintf "30,000 storm ticks allocated %.0f minor words" words)
+    true (words < 100.)
+
+let storm_suite =
+  [ trap_differential "trap log: #UD storm, stack clear of code and IDT"
+      ~ticks:30_000 ~seeds:[ 0; 1 ]
+      (fun ~jit ~seed -> clear_storm ~jit ~seed ())
+      ~expect:(expect_mostly_exceptions ~ticks:30_000);
+    trap_differential "trap log: #UD storm, frames overwrite their code"
+      ~ticks:30_000 ~seeds:[ 0; 1; 2; 3; 4; 5 ]
+      (fun ~jit ~seed ->
+        storm ~cs:0x0050 ~psw:0x7070 ~ss:0 ~sp:0x0560 ~idtr:0x7D090 ~jit ~seed ())
+      ~expect:(expect_on_machines "code was retranslated" retranslated);
+    trap_differential "trap log: #UD storm, frames overwrite their IDT entry"
+      ~ticks:30_000 ~seeds:[ 0; 1 ]
+      (fun ~jit ~seed ->
+        storm ~cs:0x0050 ~psw:0x7070 ~ss:0x1000 ~sp:0x5000 ~idtr:0x14000 ~jit
+          ~seed ())
+      ~expect:(fun name log _ ->
+        Helpers.check_bool (name ^ ": more than one handler") true
+          (List.length (handlers log) > 1));
+    trap_differential "trap log: #UD storm, frames hit a ragged ROM"
+      ~ticks:30_000 ~seeds:[ 0; 1 ]
+      (fun ~jit ~seed ->
+        storm ~rom:[ { Ssx.Memory.base = 0x23F00; size = 0x203 } ]
+          ~ss:0x2000 ~sp:0x5000 ~idtr:0x7D090 ~jit ~seed ())
+      ~expect:(expect_on_machines "ROM refused writes" refused);
+    (* Seed 2's fourth frame stores psw across the wrap; the stack's
+       next visit to byte 0 is a lap (10,923 frames) later. *)
+    trap_differential "trap log: #UD storm, frames straddle the 1 MiB wrap"
+      ~ticks:10_000 ~seeds:[ 0; 2 ]
+      (fun ~jit ~seed ->
+        storm ~psw:0x7070 ~cs:0x0050 ~ss:0xFFFF ~sp:0x0021 ~idtr:0x7D090 ~jit
+          ~seed ())
+      ~expect:(expect_on_machines "byte 0 was written" byte0_written);
+    trap_differential "trap log: campaign-t1 storm trials (master 77)"
+      ~ticks:40_000 ~seeds:[ 6; 31 ] campaign_t1_trial
+      ~expect:(expect_mostly_exceptions ~ticks:40_000);
+    Helpers.case "exception storm: a jit storm tick allocates nothing"
+      test_storm_allocation ]
 
 (* The monitor's own verdicts: detections (tick and violated
    predicates) and the final machine must not depend on the engine,
@@ -1289,3 +1410,4 @@ let suite =
     Helpers.case "jit toggle mid-run is invisible" test_jit_toggle_mid_run;
     Helpers.case "protection bitmap matches region list"
       test_protection_bitmap_matches_regions ]
+  @ storm_suite

@@ -213,6 +213,61 @@ let prop_page_restore =
       && generations mem = restored
       && Ssx.Memory.dump mem ~base:0 ~len:Ssx.Memory.size = expected)
 
+(* The word path against its definition.  Both engines share
+   {!Ssx.Memory}, so the trap differentials cannot see a bug in it:
+   here [write_word a v] on one memory and the two [write_byte]s it
+   stands for on another must leave the same bytes, write count, ROM
+   refusals and set of pages whose generation moved, and [read_word]
+   must read the two bytes, around ragged ROM edges, page edges and
+   the wrap. *)
+let prop_word_is_two_bytes =
+  QCheck.Test.make ~count:200 ~name:"word ops equal their two byte ops"
+    (QCheck.make
+       ~print:(fun (setup, ops) -> String.concat "\n" (List.map pp_op (setup @ ops)))
+       gen_ops)
+    (fun (setup, ops) ->
+      let build () =
+        let mem = Ssx.Memory.create () in
+        List.iter (Ssx.Memory.protect mem) rom_regions;
+        mem
+      in
+      let words = build () and bytes = build () in
+      let moved before mem =
+        let after = generations mem in
+        List.filter (fun p -> after.(p) <> before.(p))
+          (List.init Ssx.Memory.page_count Fun.id)
+      in
+      let reads_agree mem a =
+        List.for_all
+          (fun a ->
+            Ssx.Memory.read_word mem a
+            = Ssx.Memory.read_byte mem a
+              lor (Ssx.Memory.read_byte mem (Ssx.Addr.mask (a + 1)) lsl 8))
+          [ Ssx.Addr.mask (a - 1); a; Ssx.Addr.mask (a + 1) ]
+      in
+      let step op =
+        match op with
+        | Write_word (a, v) ->
+          let words_before = generations words
+          and bytes_before = generations bytes in
+          Ssx.Memory.write_word words a v;
+          Ssx.Memory.write_byte bytes a (v land 0xff);
+          Ssx.Memory.write_byte bytes (Ssx.Addr.mask (a + 1)) (v lsr 8);
+          moved words_before words = moved bytes_before bytes
+          && Ssx.Memory.dump words ~base:(Ssx.Addr.mask (a - 2)) ~len:5
+             = Ssx.Memory.dump bytes ~base:(Ssx.Addr.mask (a - 2)) ~len:5
+          && reads_agree words a
+        | Write_byte (a, _) | Force_write (a, _) | Blit (_, a, _) | Load (a, _) ->
+          apply words op;
+          apply bytes op;
+          reads_agree words a
+      in
+      List.for_all step (setup @ ops)
+      && Ssx.Memory.write_count words = Ssx.Memory.write_count bytes
+      && Ssx.Memory.rom_refusal_count words = Ssx.Memory.rom_refusal_count bytes
+      && Ssx.Memory.dump words ~base:0 ~len:Ssx.Memory.size
+         = Ssx.Memory.dump bytes ~base:0 ~len:Ssx.Memory.size)
+
 let suite =
   [ case "read and write bytes" test_read_write;
     case "words are little-endian" test_word_endianness;
@@ -225,4 +280,5 @@ let suite =
     case "protected regions" test_regions;
     case "load_image moves each touched page once" test_load_image_pages ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_byte_roundtrip; prop_word_roundtrip; prop_page_restore ]
+      [ prop_byte_roundtrip; prop_word_roundtrip; prop_page_restore;
+        prop_word_is_two_bytes ]
