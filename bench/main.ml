@@ -21,8 +21,7 @@ let smoke = Array.exists (( = ) "--smoke") Sys.argv
 
 let run_tables () =
   List.iter
-    (fun ((_, run) :
-           string * (?jobs:int -> ?shards:int -> unit -> Ssos_experiments.Table.t)) ->
+    (fun ((_, run) : string * (?jobs:int -> unit -> Ssos_experiments.Table.t)) ->
       Format.printf "%a@." Ssos_experiments.Table.pp (run ()))
     Ssos_experiments.Experiments.all
 
@@ -207,16 +206,11 @@ let net_bench () =
       ~span:"cluster-lossy" "lossy links (drop 0.2)"
   in
   let trials = if smoke then 4 else 12 in
-  let corrupt_all rng ring =
-    for i = 0 to ring.Ssos_net.Net_ring.n - 1 do
-      Ssos_net.Net_ring.corrupt_state ring i (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_net.Net_ring.corrupt_view ring i (Ssx_faults.Rng.int rng 0x10000)
-    done
-  in
   let build () = Ssos_net.Net_ring.build ~n:4 ~seed:7L () in
   let warmup = 200 and horizon = 1_500 in
   let run_campaign ~jobs () =
-    Ssos_experiments.Runner.ring_campaign ~build ~perturb:corrupt_all
+    Ssos_experiments.Runner.ring_campaign ~build
+      ~perturb:Ssos_net.Net_ring.corrupt
       ~warmup ~horizon ~jobs ~trials ~seed:2L ()
   in
   let jobs_n = Printf.sprintf "jobs%d" pair_jobs in
@@ -252,7 +246,9 @@ let net_bench () =
   let snapshot = Ssos_net.Cluster.capture cluster in
   let reset_total = ref 0. in
   for round = 1 to rounds do
-    corrupt_all (Ssx_faults.Rng.create (Ssx_faults.Rng.derive 2L round)) ring;
+    Ssos_net.Net_ring.corrupt
+      (Ssx_faults.Rng.create (Ssx_faults.Rng.derive 2L round))
+      ring;
     Ssos_net.Cluster.run_sharded cluster ~steps:horizon;
     let (), ns =
       timed "ring-trial-reset" (fun () ->
@@ -347,8 +343,9 @@ let net_scale_bench () =
    n=5 stays within the K=8 single-token guarantee; 16 and 64 measure
    how serving scales when the cluster is larger than the tag space
    (throughput only — see Service's docs).  The shards pair reruns the
-   same workload on 4 shards and checks the responses and the cluster
-   digest are bit-identical. *)
+   same workload on 4 shards through the serve engine's call,
+   [Workload.run_epochs] (one epoch spanning the run), and checks the
+   responses and the cluster digest are bit-identical. *)
 let rsm_bench () =
   let sizes = if smoke then [ 5 ] else [ 5; 16; 64 ] in
   let steps = if smoke then 400 else 2_000 in
@@ -361,10 +358,8 @@ let rsm_bench () =
         Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster
           ~steps:400;
         let wl =
-          Ssos_rsm.Workload.create service
-            (Ssos_rsm.Workload.schedule ~rate:0.05 ~n
-               ~slots:((steps / n) + 1)
-               ~seed:22L ())
+          Ssos_rsm.Workload.open_loop ~rate:0.05 ~slots:((steps / n) + 1)
+            ~seed:22L service
         in
         Ssos_rsm.Workload.discard wl;
         let (), ns =
@@ -373,7 +368,7 @@ let rsm_bench () =
             (fun () -> Ssos_rsm.Workload.run wl ~steps)
         in
         let steps_per_sec = float_of_int steps /. (ns /. 1e9) in
-        let committed = Ssos_rsm.Workload.matched wl in
+        let committed = Ssos_rsm.Workload.committed wl in
         let requests_per_sec = float_of_int committed /. (ns /. 1e9) in
         Format.printf
           "  n=%-4d %10.0f cluster-steps/sec %8.0f committed-requests/sec \
@@ -390,15 +385,16 @@ let rsm_bench () =
     in
     Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster ~steps:400;
     let wl =
-      Ssos_rsm.Workload.create service
-        (Ssos_rsm.Workload.schedule ~rate:0.05 ~n:5 ~slots:((steps / 5) + 1)
-           ~seed:23L ())
+      Ssos_rsm.Workload.open_loop ~rate:0.05 ~slots:((steps / 5) + 1)
+        ~seed:23L service
     in
     Ssos_rsm.Workload.discard wl;
     let (), ns =
       timed
         (Printf.sprintf "rsm-serve-shards%d" shards)
-        (fun () -> Ssos_rsm.Workload.run ~shards wl ~steps)
+        (fun () ->
+          Ssos_rsm.Workload.run_epochs ~shards wl ~epoch:steps ~steps
+            ~on_epoch:ignore)
     in
     ( Ssos_rsm.Workload.responses wl,
       Ssos_net.Cluster.digest service.Ssos_rsm.Service.cluster,

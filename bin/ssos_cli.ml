@@ -170,17 +170,17 @@ let print_table format table =
   | "json" -> print_endline (Ssos_experiments.Table.to_json table)
   | _ -> Format.printf "%a@." Ssos_experiments.Table.pp table
 
-let experiment id format jobs shards =
+let experiment id format jobs =
   if String.lowercase_ascii id = "all" then begin
     List.iter
-      (fun (_, run) -> print_table format (run ?jobs ?shards ()))
+      (fun (_, run) -> print_table format (run ?jobs ()))
       Ssos_experiments.Experiments.all;
     ok
   end
   else
     match Ssos_experiments.Experiments.find id with
     | Some run ->
-      print_table format (run ?jobs ?shards ());
+      print_table format (run ?jobs ());
       ok
     | None ->
       Format.eprintf "ssos: unknown experiment %s (expected T1..T20 or all)@."
@@ -280,7 +280,7 @@ let pp_states ring =
     (Array.to_list
        (Array.map string_of_int (Ssos_net.Net_ring.states ring)))
 
-let cluster nodes drop corrupt delay limit seed shards latency =
+let cluster nodes drop corrupt delay limit seed latency =
   let benign = drop = 0. && corrupt = 0. && delay = 0 in
   let faults ~src:_ ~dst:_ =
     if benign then Ssos_net.Link.benign ()
@@ -296,26 +296,21 @@ let cluster nodes drop corrupt delay limit seed shards latency =
   if not benign then
     Format.printf "links: drop=%.2f corrupt=%.2f max_delay=%d@." drop corrupt
       delay;
-  (* The only line --shards changes: the stepper's observables are the
-     same for any shard count. *)
-  Option.iter (Format.printf "stepper: %d shard(s)@.") shards;
   if latency > 1 then Format.printf "link latency %d@." latency;
-  Ssos_net.Cluster.run_sharded ?shards cluster ~steps:400;
+  Ssos_net.Cluster.run_sharded cluster ~steps:400;
   Format.printf "after 400 warmup steps: states [%s], %d privilege(s)@."
     (pp_states ring)
     (Ssos_net.Net_ring.token_count ring);
   Format.printf "corrupting every counter and every view with random words...@.";
-  let rng = Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 1) in
-  for i = 0 to nodes - 1 do
-    Ssos_net.Net_ring.corrupt_state ring i (Ssx_faults.Rng.int rng 0x10000);
-    Ssos_net.Net_ring.corrupt_view ring i (Ssx_faults.Rng.int rng 0x10000)
-  done;
+  Ssos_net.Net_ring.corrupt
+    (Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 1))
+    ring;
   Format.printf "corrupted: states [%s], %d privilege(s)@." (pp_states ring)
     (Ssos_net.Net_ring.token_count ring);
-  (match Ssos_net.Net_ring.run_until_legitimate ?shards ring ~limit with
+  (match Ssos_net.Net_ring.run_until_legitimate ring ~limit with
   | Some steps ->
     Format.printf "single privilege restored after %d cluster steps@." steps;
-    Ssos_net.Cluster.run_sharded ?shards cluster ~steps:200;
+    Ssos_net.Cluster.run_sharded cluster ~steps:200;
     Format.printf "200 steps later: states [%s], %d privilege(s), %s@."
       (pp_states ring)
       (Ssos_net.Net_ring.token_count ring)
@@ -328,7 +323,7 @@ let cluster nodes drop corrupt delay limit seed shards latency =
 
 (* ----------------------------------------------------------------- rsm *)
 
-let rsm nodes drop rate faults steps limit seed shards latency =
+let rsm nodes drop rate faults steps limit seed latency =
   let seed64 = Int64.of_int seed in
   let link_faults ~src:_ ~dst:_ =
     if drop = 0. then Ssos_net.Link.benign ()
@@ -346,9 +341,8 @@ let rsm nodes drop rate faults steps limit seed shards latency =
   Format.printf "== %d-replica key-value state machine (K=%d, %d keys) ==@."
     nodes Ssos_rsm.Wire.k Ssos_rsm.Wire.keys;
   if drop > 0. then Format.printf "links: drop=%.2f max_delay=1@." drop;
-  Option.iter (Format.printf "stepper: %d shard(s)@.") shards;
   if latency > 1 then Format.printf "link latency %d@." latency;
-  Ssos_net.Cluster.run_sharded ?shards cluster ~steps:400;
+  Ssos_net.Cluster.run_sharded cluster ~steps:400;
   Format.printf "after 400 warmup steps: tokens [%s]@." (pp_states ());
   let rng = Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 1) in
   if faults > 0 then begin
@@ -365,16 +359,9 @@ let rsm nodes drop rate faults steps limit seed shards latency =
   end;
   Format.printf
     "corrupting every replica's counter, view, store and tag row...@.";
-  for i = 0 to nodes - 1 do
-    Ssos_rsm.Service.corrupt_state service i (Ssx_faults.Rng.int rng 0x10000);
-    Ssos_rsm.Service.corrupt_view service i (Ssx_faults.Rng.int rng 0x10000);
-    for k = 0 to Ssos_rsm.Wire.keys - 1 do
-      Ssos_rsm.Service.corrupt_kv service i k (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_rsm.Service.corrupt_tag service i k (Ssx_faults.Rng.int rng 0x10000)
-    done
-  done;
+  Ssos_rsm.Service.corrupt rng service;
   let faults_end = Ssos_net.Cluster.steps cluster in
-  let samples = Ssos_rsm.Service.observe ?shards service ~steps:limit in
+  let samples = Ssos_rsm.Service.observe service ~steps:limit in
   let verdict =
     Ssx_stab.Distributed.rsm_judge ~window:400 ~samples
       ~end_step:(Ssos_net.Cluster.steps cluster)
@@ -387,15 +374,14 @@ let rsm nodes drop rate faults steps limit seed shards latency =
       (pp_states ())
   | _ -> Format.printf "NO CONVERGENCE within %d cluster steps@." limit);
   let wl =
-    Ssos_rsm.Workload.create service
-      (Ssos_rsm.Workload.schedule ~rate ~n:nodes
-         ~slots:(((steps + nodes - 1) / nodes) + 1)
-         ~seed:(Ssx_faults.Rng.derive seed64 2) ())
+    Ssos_rsm.Workload.open_loop ~rate
+      ~slots:(((steps + nodes - 1) / nodes) + 1)
+      ~seed:(Ssx_faults.Rng.derive seed64 2) service
   in
   Ssos_rsm.Workload.discard wl;
   let init = Ssos_rsm.Service.kv service 0 in
-  Ssos_rsm.Workload.run ?shards wl ~steps;
-  let committed = Ssos_rsm.Workload.matched wl in
+  Ssos_rsm.Workload.run wl ~steps;
+  let committed = Ssos_rsm.Workload.committed wl in
   let linearized =
     Ssx_stab.Distributed.linearizable ~init ~ops:(Ssos_rsm.Workload.ops wl)
     = None
@@ -413,8 +399,8 @@ let rsm nodes drop rate faults steps limit seed shards latency =
 
 (* --------------------------------------------------------------- serve *)
 
-let serve nodes rate fault_rate duration epoch slo_avail slo_p99 seed shards
-    jobs latency quiet require_incident =
+let serve nodes rate fault_rate duration epoch slo_avail slo_p99 seed latency
+    quiet require_incident =
   let open Ssos_serve.Engine in
   let slo = { default_slo with availability = slo_avail; max_p99 = slo_p99 } in
   let pp_lat ppf v =
@@ -437,7 +423,7 @@ let serve nodes rate fault_rate duration epoch slo_avail slo_p99 seed shards
              else ""))
   in
   let s =
-    serve ~nodes ~rate ~fault_rate ~epoch ~latency ~slo ?shards ?jobs ?report
+    serve ~nodes ~rate ~fault_rate ~epoch ~latency ~slo ?report
       ~duration ~seed:(Int64.of_int seed) ()
   in
   Format.printf
@@ -540,13 +526,9 @@ let adversary_ring nodes daemon victim down_from down_for period drop trials
         ~seed:(Ssx_faults.Rng.derive seed64 trial) ()
     in
     Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps:200;
-    let rng =
-      Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 (1000 + trial))
-    in
-    for i = 0 to nodes - 1 do
-      Ssos_net.Net_ring.corrupt_state ring i (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_net.Net_ring.corrupt_view ring i (Ssx_faults.Rng.int rng 0x10000)
-    done;
+    Ssos_net.Net_ring.corrupt
+      (Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 (1000 + trial)))
+      ring;
     let mt = Ssos_net.Net_ring.converge_moves ~limit ring in
     let domination =
       match (table, mt.Ssos_net.Net_ring.converged) with
@@ -597,19 +579,9 @@ let adversary_rsm nodes daemon victim down_from down_for period drop trials
     in
     let cluster = service.Ssos_rsm.Service.cluster in
     Ssos_net.Cluster.run_sharded cluster ~steps:400;
-    let rng =
-      Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 (1000 + trial))
-    in
-    for i = 0 to nodes - 1 do
-      Ssos_rsm.Service.corrupt_state service i (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_rsm.Service.corrupt_view service i (Ssx_faults.Rng.int rng 0x10000);
-      for key = 0 to Ssos_rsm.Wire.keys - 1 do
-        Ssos_rsm.Service.corrupt_kv service i key
-          (Ssx_faults.Rng.int rng 0x10000);
-        Ssos_rsm.Service.corrupt_tag service i key
-          (Ssx_faults.Rng.int rng 0x10000)
-      done
-    done;
+    Ssos_rsm.Service.corrupt
+      (Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 (1000 + trial)))
+      service;
     let faults_end = Ssos_net.Cluster.steps cluster in
     let samples = Ssos_rsm.Service.observe service ~steps:limit in
     let verdict =
@@ -719,23 +691,12 @@ let () =
       & info [ "format" ] ~docv:"FORMAT"
           ~doc:"Output format: $(b,text) (aligned columns) or $(b,json).")
   in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard the cluster stepper across N domains (within each \
-             trial).  Results are bit-identical for any shard count; \
-             clusters with link latency 1 fall back to one shard \
-             (the default).")
-  in
   let experiment_cmd =
     Cmd.v (Cmd.info "experiment" ~doc:"Regenerate an evaluation table (T1..T20)")
       (with_metrics
          Term.(
-           const (fun id format jobs shards () -> experiment id format jobs shards)
-           $ id_arg $ format_arg $ jobs_arg $ shards_arg))
+           const (fun id format jobs () -> experiment id format jobs)
+           $ id_arg $ format_arg $ jobs_arg))
   in
   let figures_cmd =
     Cmd.v (Cmd.info "figures" ~doc:"Print the paper's figures as source")
@@ -821,9 +782,7 @@ let () =
     Arg.(
       value & opt int 1
       & info [ "latency" ] ~docv:"N"
-          ~doc:
-            "Minimum link latency in cluster steps (at least 1).  Values \
-             above 1 give $(b,--shards) its synchronization horizon.")
+          ~doc:"Minimum link latency in cluster steps (at least 1).")
   in
   let cluster_cmd =
     Cmd.v
@@ -833,10 +792,10 @@ let () =
             every node, and watch the ring reconverge")
       (with_metrics
          Term.(
-           const (fun nodes drop corrupt delay limit seed shards latency () ->
-               cluster nodes drop corrupt delay limit seed shards latency)
+           const (fun nodes drop corrupt delay limit seed latency () ->
+               cluster nodes drop corrupt delay limit seed latency)
            $ nodes_arg $ drop_arg $ corrupt_arg $ delay_arg $ limit_arg
-           $ seed_arg $ shards_arg $ latency_arg))
+           $ seed_arg $ latency_arg))
   in
   let rsm_nodes_arg =
     Arg.(
@@ -871,10 +830,10 @@ let () =
             check the responses linearize")
       (with_metrics
          Term.(
-           const (fun nodes drop rate faults steps limit seed shards latency () ->
-               rsm nodes drop rate faults steps limit seed shards latency)
+           const (fun nodes drop rate faults steps limit seed latency () ->
+               rsm nodes drop rate faults steps limit seed latency)
            $ rsm_nodes_arg $ drop_arg $ rate_arg $ faults_arg $ steps_arg
-           $ limit_arg $ seed_arg $ shards_arg $ latency_arg))
+           $ limit_arg $ seed_arg $ latency_arg))
   in
   let fault_rate_arg =
     Arg.(
@@ -919,9 +878,7 @@ let () =
     Arg.(
       value & opt int 2
       & info [ "latency" ] ~docv:"N"
-          ~doc:
-            "Link latency in cluster steps (at least 1).  Values above 1 \
-             give $(b,--shards) its synchronization horizon.")
+          ~doc:"Link latency in cluster steps (at least 1).")
   in
   let quiet_arg =
     Arg.(
@@ -947,12 +904,12 @@ let () =
       (with_metrics
          Term.(
            const (fun nodes rate fault_rate duration epoch slo slo_p99 seed
-                      shards jobs latency quiet require_incident () ->
+                      latency quiet require_incident () ->
                serve nodes rate fault_rate duration epoch slo slo_p99 seed
-                 shards jobs latency quiet require_incident)
+                 latency quiet require_incident)
            $ rsm_nodes_arg $ rate_arg $ fault_rate_arg $ duration_arg
-           $ epoch_arg $ slo_arg $ slo_p99_arg $ seed_arg $ shards_arg
-           $ jobs_arg $ serve_latency_arg $ quiet_arg $ require_incident_arg))
+           $ epoch_arg $ slo_arg $ slo_p99_arg $ seed_arg $ serve_latency_arg
+           $ quiet_arg $ require_incident_arg))
   in
   let daemon_conv =
     Arg.enum

@@ -34,8 +34,6 @@ let () =
         Ssos_net.Link.lossy ~drop:0.15 ~max_delay:2 ())
       ()
   in
-  (* One shard, the default; [~shards:k] runs the same steps on k
-     shards with bit-identical results. *)
   Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps:400;
   Format.printf "After 400 cluster steps (each node booted its own OS):@.";
   show_states ring;
@@ -53,10 +51,7 @@ let () =
            ~space:(Ssos.Sched.fault_space sched)
            4))
     ring.Ssos_net.Net_ring.systems;
-  for i = 0 to n - 1 do
-    Ssos_net.Net_ring.corrupt_state ring i (Ssx_faults.Rng.int rng 0x10000);
-    Ssos_net.Net_ring.corrupt_view ring i (Ssx_faults.Rng.int rng 0x10000)
-  done;
+  Ssos_net.Net_ring.corrupt rng ring;
   show_states ring;
 
   (match Ssos_net.Net_ring.run_until_legitimate ring ~limit:10_000 with

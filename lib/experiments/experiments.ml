@@ -925,15 +925,7 @@ let t13_exhaustive_sweeps ?(seed = 13L) () =
 
 (* ---------------------------------------------------------------- T14 *)
 
-(* Arbitrary joint corruption of a distributed ring: every node's
-   counter and every node's view of its predecessor. *)
-let corrupt_ring rng ring =
-  for i = 0 to ring.Ssos_net.Net_ring.n - 1 do
-    Ssos_net.Net_ring.corrupt_state ring i (Ssx_faults.Rng.int rng 0x10000);
-    Ssos_net.Net_ring.corrupt_view ring i (Ssx_faults.Rng.int rng 0x10000)
-  done
-
-let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs ?shards () =
+let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs () =
   let n = 4 in
   let rates = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
   let rows =
@@ -949,8 +941,8 @@ let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs ?shards () =
            row r' corrupt trial i identically, so differences are the
            link fault rate's alone. *)
         let summary =
-          Runner.ring_campaign ~build ~perturb:corrupt_ring ~horizon:4_000
-            ~window:600 ?jobs ?shards ~trials ~seed ()
+          Runner.ring_campaign ~build ~perturb:Ssos_net.Net_ring.corrupt
+            ~horizon:4_000 ~window:600 ?jobs ~trials ~seed ()
         in
         [ Printf.sprintf "%.0f%%" (100. *. drop);
           Table.cell_rate summary.Runner.recoveries summary.Runner.trials;
@@ -974,7 +966,7 @@ let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs ?shards () =
 
 (* ---------------------------------------------------------------- T15 *)
 
-let t15_ring_combined_faults ?(seed = 15L) ?(trials = 10) ?jobs ?shards () =
+let t15_ring_combined_faults ?(seed = 15L) ?(trials = 10) ?jobs () =
   let n = 4 in
   let build () =
     Ssos_net.Net_ring.build ~n ~seed:(Ssx_faults.Rng.derive seed 200) ()
@@ -1004,7 +996,7 @@ let t15_ring_combined_faults ?(seed = 15L) ?(trials = 10) ?jobs ?shards () =
     (* Joint state corruption: arbitrary words in every counter and
        every view, so the configuration is arbitrary in the paper's
        sense when the message phase starts. *)
-    corrupt_ring rng ring;
+    Ssos_net.Net_ring.corrupt rng ring;
     (* Message faults: a 150-step phase in which every link drops 30%
        of messages and corrupts a byte of half the rest.  Healthy nodes
        partially reconverge during the phase; crashed nodes hold their
@@ -1018,7 +1010,7 @@ let t15_ring_combined_faults ?(seed = 15L) ?(trials = 10) ?jobs ?shards () =
       (fun burst ->
         let summary =
           Runner.ring_campaign ~build ~perturb:(perturb ~burst) ~horizon:6_000
-            ~window:800 ?jobs ?shards ~trials ~seed ()
+            ~window:800 ?jobs ~trials ~seed ()
         in
         [ Table.cell_int burst;
           Table.cell_rate summary.Runner.recoveries summary.Runner.trials;
@@ -1042,18 +1034,6 @@ let t15_ring_combined_faults ?(seed = 15L) ?(trials = 10) ?jobs ?shards () =
 
 (* ---------------------------------------------------------------- T16 *)
 
-(* Arbitrary joint corruption of a replicated service: every replica's
-   token counter, view, and the whole store with its tag row. *)
-let corrupt_rsm rng (service : Ssos_rsm.Service.t) =
-  for i = 0 to service.Ssos_rsm.Service.n - 1 do
-    Ssos_rsm.Service.corrupt_state service i (Ssx_faults.Rng.int rng 0x10000);
-    Ssos_rsm.Service.corrupt_view service i (Ssx_faults.Rng.int rng 0x10000);
-    for k = 0 to Ssos_rsm.Wire.keys - 1 do
-      Ssos_rsm.Service.corrupt_kv service i k (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_rsm.Service.corrupt_tag service i k (Ssx_faults.Rng.int rng 0x10000)
-    done
-  done
-
 let rsm_summary_cells (s : Runner.rsm_summary) =
   [ Table.cell_rate s.Runner.core.Runner.recoveries s.Runner.core.Runner.trials;
     Table.cell_opt_float ~decimals:0 s.Runner.core.Runner.mean_recovery;
@@ -1061,7 +1041,7 @@ let rsm_summary_cells (s : Runner.rsm_summary) =
     Table.cell_float ~decimals:1 s.Runner.mean_lost;
     Table.cell_rate s.Runner.linearized s.Runner.core.Runner.trials ]
 
-let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs ?shards () =
+let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs () =
   let n = 5 in
   let rates = [ 0.0; 0.05; 0.1; 0.2; 0.3 ] in
   let rows =
@@ -1077,7 +1057,7 @@ let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs ?shards () =
            serve trial i identically, so differences are the drop
            rate's alone. *)
         let summary =
-          Runner.rsm_campaign ~build ~perturb:corrupt_rsm ?jobs ?shards
+          Runner.rsm_campaign ~build ~perturb:Ssos_rsm.Service.corrupt ?jobs
             ~trials ~seed ()
         in
         Printf.sprintf "%.0f%%" (100. *. drop) :: rsm_summary_cells summary)
@@ -1102,7 +1082,7 @@ let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs ?shards () =
 
 (* ---------------------------------------------------------------- T17 *)
 
-let t17_rsm_combined_faults ?(seed = 17L) ?(trials = 8) ?jobs ?shards () =
+let t17_rsm_combined_faults ?(seed = 17L) ?(trials = 8) ?jobs () =
   let n = 5 in
   let build () =
     Ssos_rsm.Service.build ~n ~obs:false
@@ -1129,7 +1109,7 @@ let t17_rsm_combined_faults ?(seed = 17L) ?(trials = 8) ?jobs ?shards () =
            (Ssos.Sched.fault_system sched)
            (Ssx_faults.Fault.random rng (Ssos.Sched.fault_space sched)))
     done;
-    corrupt_rsm rng service;
+    Ssos_rsm.Service.corrupt rng service;
     (* Message faults: a 150-step phase in which every link drops 30%
        of frames and corrupts a byte of half the rest, then clean
        links for the judged recovery and the serve phase (corrupting
@@ -1144,7 +1124,7 @@ let t17_rsm_combined_faults ?(seed = 17L) ?(trials = 8) ?jobs ?shards () =
       (fun burst ->
         let summary =
           Runner.rsm_campaign ~build ~perturb:(perturb ~burst)
-            ~horizon:3_500 ~window:500 ?jobs ?shards ~trials ~seed ()
+            ~horizon:3_500 ~window:500 ?jobs ~trials ~seed ()
         in
         Table.cell_int burst :: rsm_summary_cells summary)
       [ 2; 4; 8 ]
@@ -1195,7 +1175,7 @@ let t18_daemons ~warmup =
       Ssos_net.Cluster.Daemon
         (Ssx_stab.Adversary.adaptive ~k:Ssos_net.Net_ring.k ()) ) ]
 
-let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs ?shards () =
+let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs () =
   let n = 4 in
   let warmup = 200 in
   let drops = [ 0.0; 0.2 ] in
@@ -1214,9 +1194,9 @@ let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs ?shards () =
                identically, so differences are the daemon's and the
                drop rate's alone. *)
             let outcomes =
-              Runner.ring_campaign_outcomes ~build ~perturb:corrupt_ring
-                ~warmup ~horizon:3_000 ~window:500 ?jobs ?shards ~trials
-                ~seed ()
+              Runner.ring_campaign_outcomes ~build
+                ~perturb:Ssos_net.Net_ring.corrupt ~warmup ~horizon:3_000
+                ~window:500 ?jobs ~trials ~seed ()
             in
             let summary = Runner.summarize outcomes in
             label
@@ -1246,7 +1226,7 @@ let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs ?shards () =
 
 (* ---------------------------------------------------------------- T19 *)
 
-let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs ?shards () =
+let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs () =
   let n = 5 in
   let warmup = 400 in
   let daemons =
@@ -1274,8 +1254,8 @@ let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs ?shards () =
             ~seed:(Ssx_faults.Rng.derive seed 100) ()
         in
         let outcomes =
-          Runner.rsm_campaign_outcomes ~build ~perturb:corrupt_rsm ~warmup
-            ?jobs ?shards ~trials ~seed ()
+          Runner.rsm_campaign_outcomes ~build ~perturb:Ssos_rsm.Service.corrupt
+            ~warmup ?jobs ~trials ~seed ()
         in
         let summary = Runner.rsm_summarize outcomes in
         let base = List.map (fun o -> o.Runner.base) outcomes in
@@ -1311,14 +1291,13 @@ let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs ?shards () =
 
 (* ---------------------------------------------------------------- T20 *)
 
-let t20_serve_fault_rates ?(seed = 20L) ?(duration = 3_000) ?jobs ?shards () =
+let t20_serve_fault_rates ?(seed = 20L) ?(duration = 3_000) () =
   let rates = [ 0.0; 0.001; 0.004; 0.016 ] in
   let rows =
     List.mapi
       (fun i fault_rate ->
         let s =
-          Ssos_serve.Engine.serve ~nodes:5 ~rate:0.08 ~fault_rate ?jobs
-            ?shards:(Option.map (max 1) shards) ~duration
+          Ssos_serve.Engine.serve ~nodes:5 ~rate:0.08 ~fault_rate ~duration
             ~seed:(Ssx_faults.Rng.derive seed (i + 1)) ()
         in
         let mean_mttr =
@@ -1371,26 +1350,26 @@ let t20_serve_fault_rates ?(seed = 20L) ?(duration = 3_000) ?jobs ?shards () =
     rows }
 
 let all =
-  [ ("T1", fun ?jobs ?shards () -> ignore shards; t1_reinstall_recovery ?jobs ());
-    ("T2", fun ?jobs ?shards () -> ignore shards; t2_lemma_bounds ?jobs ());
-    ("T3", fun ?jobs ?shards () -> ignore shards; t3_approach_comparison ?jobs ());
-    ("T4", fun ?jobs ?shards () -> ignore shards; t4_period_sweep ?jobs ());
-    ("T5", fun ?jobs ?shards () -> ignore shards; t5_primitive_fairness ?jobs ());
-    ("T6", fun ?jobs ?shards () -> ignore shards; t6_sched_stabilization ?jobs ());
-    ("T7", fun ?jobs ?shards () -> ignore shards; t7_ablations ?jobs ());
-    ("T8", fun ?jobs ?shards () -> ignore shards; t8_monitor_coverage ?jobs ());
-    ("T9", fun ?jobs ?shards () -> ignore jobs; ignore shards; t9_weak_vs_strict ());
-    ("T10", fun ?jobs ?shards () -> ignore jobs; ignore shards; t10_composition ());
-    ("T11", fun ?jobs ?shards () -> ignore shards; t11_token_ring_os ?jobs ());
-    ("T12", fun ?jobs ?shards () -> ignore shards; t12_soft_error_rates ?jobs ());
-    ("T13", fun ?jobs ?shards () -> ignore jobs; ignore shards; t13_exhaustive_sweeps ());
-    ("T14", fun ?jobs ?shards () -> t14_ring_link_faults ?jobs ?shards ());
-    ("T15", fun ?jobs ?shards () -> t15_ring_combined_faults ?jobs ?shards ());
-    ("T16", fun ?jobs ?shards () -> t16_rsm_link_faults ?jobs ?shards ());
-    ("T17", fun ?jobs ?shards () -> t17_rsm_combined_faults ?jobs ?shards ());
-    ("T18", fun ?jobs ?shards () -> t18_ring_daemon_matrix ?jobs ?shards ());
-    ("T19", fun ?jobs ?shards () -> t19_rsm_daemon_matrix ?jobs ?shards ());
-    ("T20", fun ?jobs ?shards () -> t20_serve_fault_rates ?jobs ?shards ()) ]
+  [ ("T1", fun ?jobs () -> t1_reinstall_recovery ?jobs ());
+    ("T2", fun ?jobs () -> t2_lemma_bounds ?jobs ());
+    ("T3", fun ?jobs () -> t3_approach_comparison ?jobs ());
+    ("T4", fun ?jobs () -> t4_period_sweep ?jobs ());
+    ("T5", fun ?jobs () -> t5_primitive_fairness ?jobs ());
+    ("T6", fun ?jobs () -> t6_sched_stabilization ?jobs ());
+    ("T7", fun ?jobs () -> t7_ablations ?jobs ());
+    ("T8", fun ?jobs () -> t8_monitor_coverage ?jobs ());
+    ("T9", fun ?jobs () -> ignore jobs; t9_weak_vs_strict ());
+    ("T10", fun ?jobs () -> ignore jobs; t10_composition ());
+    ("T11", fun ?jobs () -> t11_token_ring_os ?jobs ());
+    ("T12", fun ?jobs () -> t12_soft_error_rates ?jobs ());
+    ("T13", fun ?jobs () -> ignore jobs; t13_exhaustive_sweeps ());
+    ("T14", fun ?jobs () -> t14_ring_link_faults ?jobs ());
+    ("T15", fun ?jobs () -> t15_ring_combined_faults ?jobs ());
+    ("T16", fun ?jobs () -> t16_rsm_link_faults ?jobs ());
+    ("T17", fun ?jobs () -> t17_rsm_combined_faults ?jobs ());
+    ("T18", fun ?jobs () -> t18_ring_daemon_matrix ?jobs ());
+    ("T19", fun ?jobs () -> t19_rsm_daemon_matrix ?jobs ());
+    ("T20", fun ?jobs () -> ignore jobs; t20_serve_fault_rates ()) ]
 
 let find id =
   let id = String.uppercase_ascii id in

@@ -62,69 +62,65 @@ val t13_exhaustive_sweeps : ?seed:int64 -> unit -> Table.t
     sweep of the running image under Figure 1. *)
 
 val t14_ring_link_faults :
-  ?seed:int64 -> ?trials:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+  ?seed:int64 -> ?trials:int -> ?jobs:int -> unit -> Table.t
 (** E14 — multi-machine clusters (lib/net): Dijkstra's K-state token
     ring across 4 SSX16 machines exchanging counters over NICs,
-    reconverging from joint state corruption while the links drop each
-    message with increasing probability.  [shards] parallelizes within
-    each trial ({!Runner.ring_campaign}); the table is bit-identical
-    for any value. *)
+    reconverging from joint state corruption
+    ({!Ssos_net.Net_ring.corrupt}) while the links drop each message
+    with increasing probability.  Like T15–T19, its clusters have link
+    latency 1. *)
 
 val t15_ring_combined_faults :
-  ?seed:int64 -> ?trials:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+  ?seed:int64 -> ?trials:int -> ?jobs:int -> unit -> Table.t
 (** E15 — composed stabilization across the network: per-node machine
     faults from the full §5.2 fault space plus a lossy/corrupting
     message phase on every link; each node's OS must self-recover and
-    the distributed layer must then reconverge.  [shards] as in T14. *)
+    the distributed layer must then reconverge. *)
 
 val t16_rsm_link_faults :
-  ?seed:int64 -> ?trials:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+  ?seed:int64 -> ?trials:int -> ?jobs:int -> unit -> Table.t
 (** E16 — the replicated key-value state machine (lib/rsm): commit
     throughput, convergence steps and serve-phase linearizability vs
     link drop rate, after arbitrary joint corruption of every replica's
-    protocol state and store.  [shards] as in T14. *)
+    protocol state and store ({!Ssos_rsm.Service.corrupt}). *)
 
 val t17_rsm_combined_faults :
-  ?seed:int64 -> ?trials:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+  ?seed:int64 -> ?trials:int -> ?jobs:int -> unit -> Table.t
 (** E17 — the replicated service under combined faults: per-replica
     machine faults, arbitrary state corruption and a lossy/corrupting
     message phase; measures the MTTR from the end of the message phase
     and the lost-request window, then checks that fresh client traffic
-    linearizes.  [shards] as in T14. *)
+    linearizes. *)
 
 val t18_ring_daemon_matrix :
-  ?seed:int64 -> ?trials:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+  ?seed:int64 -> ?trials:int -> ?jobs:int -> unit -> Table.t
 (** E18 — the T14 scenario re-run under the full scheduling-daemon
     matrix (round-robin, fair-random, starving, crash-and-resurrect,
     adaptive adversary; {!Ssx_stab.Adversary}) at two link drop rates,
     reporting the exact convergence distribution (nearest-rank
-    p50/p90/p99/max, {!Runner.distribution}) instead of the mean.
-    [shards] as in T14; stateful daemons make the stepper fall back to
-    one shard, so the table stays bit-identical. *)
+    p50/p90/p99/max, {!Runner.distribution}) instead of the mean. *)
 
 val t19_rsm_daemon_matrix :
-  ?seed:int64 -> ?trials:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+  ?seed:int64 -> ?trials:int -> ?jobs:int -> unit -> Table.t
 (** E19 — the replicated state machine under the daemon matrix at a
     fixed 10% link drop rate: convergence distribution plus serve-phase
     commit/lost counts and linearizability.  Starvation kills liveness
     but never safety; recurring crash outages show up as lost
-    throughput.  [shards] as in T14. *)
+    throughput. *)
 
-val t20_serve_fault_rates :
-  ?seed:int64 -> ?duration:int -> ?jobs:int -> ?shards:int -> unit -> Table.t
+val t20_serve_fault_rates : ?seed:int64 -> ?duration:int -> unit -> Table.t
 (** E20 — continuous operation ({!Ssos_serve.Engine}): overall and
     worst-window availability, latency p50/p99, detected/repaired
     incident counts and mean MTTR of the closed serve loop vs the
     background fault rate — the production scenario of §1's
-    motivation, run as a deterministic simulation. *)
+    motivation, run as a deterministic simulation.  Each run is
+    {!Ssos_serve.Engine.serve} at its default shard and job counts. *)
 
-val all : (string * (?jobs:int -> ?shards:int -> unit -> Table.t)) list
+val all : (string * (?jobs:int -> unit -> Table.t)) list
 (** [(id, runner)] for every table, in order.  [jobs] caps the campaign
     worker-domain count ({!Pool.default_jobs} when omitted); tables
-    whose work is a single run (T9, T10, T13) ignore it.  [shards]
-    shards the cluster stepper within trials — only the distributed
-    tables (T14–T19) use it; all tables are bit-identical for any
-    value of either knob. *)
+    whose work is a single run (T9, T10, T13, T20) ignore it.  Every
+    table is bit-identical for any value. *)
 
-val find : string -> (?jobs:int -> ?shards:int -> unit -> Table.t) option
+val find : string -> (?jobs:int -> unit -> Table.t) option
 (** Case-insensitive lookup by id ("t1" … "t20"). *)

@@ -196,15 +196,8 @@ let sched_campaign ~build ?space ~burst ?(warmup = 100_000)
   in
   publish ~campaign:"sched" outcomes (summarize outcomes)
 
-(* [shards] parallelizes *within* each trial via the sharded cluster
-   stepper — orthogonal to [jobs], which parallelizes across trials.
-   The two compose (each worker domain's trials shard further), but the
-   useful configurations are jobs-only for many small clusters and
-   shards-only for a few big ones.  Summaries are bit-identical for any
-   [shards], because the stepper and the reconstructed sample streams
-   are (Cluster.run_sharded / Net_ring.observe). *)
 let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
-    ?(window = 600) ?oversubscribe ?jobs ?shards ~trials ~seed () =
+    ?(window = 600) ?oversubscribe ?jobs ~trials ~seed () =
   let outcomes =
     run_trials ?oversubscribe ?jobs ~trials ~seed
       ~warm:(fun () ->
@@ -213,7 +206,7 @@ let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
            fault-model phase — the interleaving RNG and the step
            counter. *)
         let ring = build () in
-        Ssos_net.Cluster.run_sharded ?shards ring.Ssos_net.Net_ring.cluster
+        Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster
           ~steps:warmup;
         (ring, Ssos_net.Cluster.capture ring.Ssos_net.Net_ring.cluster))
       (fun (ring, snapshot) seed ->
@@ -224,7 +217,7 @@ let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
            message-fault phase); recovery counts from wherever it
            ended. *)
         let faults_end = Ssos_net.Cluster.steps cluster in
-        let samples = Ssos_net.Net_ring.observe ?shards ring ~steps:horizon in
+        let samples = Ssos_net.Net_ring.observe ring ~steps:horizon in
         judged ~faults_end
           (Ssx_stab.Distributed.judge ~window ~samples
              ~end_step:(Ssos_net.Cluster.steps cluster)))
@@ -233,10 +226,10 @@ let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
   outcomes
 
 let ring_campaign ~build ~perturb ?warmup ?horizon ?window ?oversubscribe
-    ?jobs ?shards ~trials ~seed () =
+    ?jobs ~trials ~seed () =
   summarize
     (ring_campaign_outcomes ~build ~perturb ?warmup ?horizon ?window
-       ?oversubscribe ?jobs ?shards ~trials ~seed ())
+       ?oversubscribe ?jobs ~trials ~seed ())
 
 type rsm_outcome = {
   base : outcome;
@@ -285,12 +278,12 @@ let rsm_publish ~campaign outcomes summary =
 
 let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
     ?(window = 400) ?(rate = 0.05) ?(serve_steps = 1_200) ?oversubscribe
-    ?jobs ?shards ~trials ~seed () =
+    ?jobs ~trials ~seed () =
   let outcomes =
     run_trials ?oversubscribe ?jobs ~trials ~seed
       ~warm:(fun () ->
         let service = build () in
-        Ssos_net.Cluster.run_sharded ?shards service.Ssos_rsm.Service.cluster
+        Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster
           ~steps:warmup;
         (service, Ssos_net.Cluster.capture service.Ssos_rsm.Service.cluster))
       (fun (service, snapshot) seed ->
@@ -300,31 +293,32 @@ let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
         (* The perturbation may itself step the cluster (a message-fault
            phase); recovery counts from wherever it ended. *)
         let faults_end = Ssos_net.Cluster.steps cluster in
-        let samples = Ssos_rsm.Service.observe ?shards service ~steps:horizon in
+        let samples = Ssos_rsm.Service.observe service ~steps:horizon in
         let base =
           judged ~faults_end
             (Ssx_stab.Distributed.rsm_judge ~window ~samples
                ~end_step:(Ssos_net.Cluster.steps cluster))
         in
         (* Serve phase: fresh client traffic against the recovered
-           service.  Its schedule is derived from the trial seed on a
-           fixed side stream, so it is independent of the
-           perturbation's rng draws and identical for any jobs/shards
-           split.  The linearizability reference starts from replica
-           0's store as of serve start — exactly the judge's common
-           store when converged. *)
+           service.  Its streams are derived from the trial seed on a
+           fixed side stream, so they are independent of the
+           perturbation's rng draws and identical for any jobs split.
+           The slot horizon is what a round-robin node gets in
+           [serve_steps] steps, plus one: a node an unfair daemon
+           favours draws no more than that.  The linearizability
+           reference starts from replica 0's store as of serve start —
+           exactly the judge's common store when converged. *)
         let n = service.Ssos_rsm.Service.n in
         let wl =
-          Ssos_rsm.Workload.create service
-            (Ssos_rsm.Workload.schedule ~rate ~n
-               ~slots:(((serve_steps + n - 1) / n) + 1)
-               ~seed:(Ssx_faults.Rng.derive seed 0x5e12e) ())
+          Ssos_rsm.Workload.open_loop ~rate
+            ~slots:(((serve_steps + n - 1) / n) + 1)
+            ~seed:(Ssx_faults.Rng.derive seed 0x5e12e) service
         in
         Ssos_rsm.Workload.discard wl;
         let init = Ssos_rsm.Service.kv service 0 in
-        Ssos_rsm.Workload.run ?shards wl ~steps:serve_steps;
+        Ssos_rsm.Workload.run wl ~steps:serve_steps;
         { base;
-          committed = Ssos_rsm.Workload.matched wl;
+          committed = Ssos_rsm.Workload.committed wl;
           lost = Ssos_rsm.Workload.lost wl;
           linearizable =
             Ssx_stab.Distributed.linearizable ~init
@@ -335,10 +329,10 @@ let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
   outcomes
 
 let rsm_campaign ~build ~perturb ?warmup ?horizon ?window ?rate ?serve_steps
-    ?oversubscribe ?jobs ?shards ~trials ~seed () =
+    ?oversubscribe ?jobs ~trials ~seed () =
   rsm_summarize
     (rsm_campaign_outcomes ~build ~perturb ?warmup ?horizon ?window ?rate
-       ?serve_steps ?oversubscribe ?jobs ?shards ~trials ~seed ())
+       ?serve_steps ?oversubscribe ?jobs ~trials ~seed ())
 
 let scramble_processor rng system =
   let machine = system.Ssos.System.machine in

@@ -104,7 +104,6 @@ val ring_campaign_outcomes :
   ?window:int ->
   ?oversubscribe:bool ->
   ?jobs:int ->
-  ?shards:int ->
   trials:int ->
   seed:int64 ->
   unit ->
@@ -122,7 +121,6 @@ val ring_campaign :
   ?window:int ->
   ?oversubscribe:bool ->
   ?jobs:int ->
-  ?shards:int ->
   trials:int ->
   seed:int64 ->
   unit ->
@@ -132,12 +130,7 @@ val ring_campaign :
     mutable fault-model phase, the interleaving RNG and the step
     counter — so summaries are bit-identical for any [jobs] count and
     equal to rebuilding per trial, like the machine campaigns above.
-
-    [shards] (default 1) parallelizes {e within} each trial via the
-    cluster stepper ({!Ssos_net.Cluster.run_sharded}) — orthogonal to
-    [jobs], which parallelizes across trials.  Use jobs for many small
-    clusters, shards for a few big ones.  Summaries stay bit-identical
-    for any [shards] value. *)
+    Each trial steps its cluster on one shard. *)
 
 (** {1 Replicated state machine campaigns}
 
@@ -176,7 +169,6 @@ val rsm_campaign_outcomes :
   ?serve_steps:int ->
   ?oversubscribe:bool ->
   ?jobs:int ->
-  ?shards:int ->
   trials:int ->
   seed:int64 ->
   unit ->
@@ -194,7 +186,6 @@ val rsm_campaign :
   ?serve_steps:int ->
   ?oversubscribe:bool ->
   ?jobs:int ->
-  ?shards:int ->
   trials:int ->
   seed:int64 ->
   unit ->
@@ -203,9 +194,12 @@ val rsm_campaign :
     after the recovery horizon is judged, a seeded open-loop workload
     (probability [rate] of one request per node slot, default 0.05)
     runs for [serve_steps] cluster steps and its responses are checked
-    for linearizability.  The serve schedule is derived from the trial
-    seed on a fixed side stream, so summaries are bit-identical for any
-    [jobs] and [shards], and equal to rebuilding per trial — the same
+    for linearizability.  Each node draws requests for at most
+    ⌈[serve_steps] / n⌉ + 1 slots ({!Ssos_rsm.Workload.open_loop}'s
+    [slots], what round-robin gives it), so a node an unfair daemon
+    favours injects no more.  The request streams are derived from the
+    trial seed on a fixed side stream, so summaries are bit-identical
+    for any [jobs], and equal to rebuilding per trial — the same
     guarantees as the other campaigns, extended to the traffic
     counts. *)
 

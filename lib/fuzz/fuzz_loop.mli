@@ -17,10 +17,9 @@
     later iterations mutate corpus members about twice as often as
     they generate fresh programs.
 
-    Campaigns shard across {!Ssos_experiments.Pool} with a shard count
-    that depends only on [iters], each shard seeded by
-    [Rng.derive seed shard], so results are identical for any [jobs]
-    value. *)
+    Campaigns shard across {!Pool} with a shard count that depends
+    only on [iters], each shard seeded by [Rng.derive seed shard], so
+    results are identical for any [jobs] value. *)
 
 type divergence = {
   program : Gen.program;  (** shrunk reproducer *)

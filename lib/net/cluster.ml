@@ -436,17 +436,17 @@ let run_sharded ?(shards = 1) ?jobs t ~steps =
   in
   ()
 
-let run_sharded_log ?(shards = 1) ?jobs ~record t ~steps =
-  run_sharded_gen ~shards ?jobs ~record:(Some record) t ~steps
+let run_sharded_log ~record t ~steps =
+  run_sharded_gen ~shards:1 ~record:(Some record) t ~steps
 
 (* One stepper call, then its log walked step by step: [visit after
    slot] for each step in order, where [after] is the step count once
    the step is done and [slot] the node that ran with its record
    ([None] for an idle slot).  Stops at the first [true] and returns
    that step's [after]. *)
-let replay_call ?shards ~record t ~steps visit =
+let replay_call ~record t ~steps visit =
   let base = t.step_count in
-  let log = run_sharded_log ?shards ~record t ~steps in
+  let log = run_sharded_log ~record t ~steps in
   let rec walk s log =
     if s >= base + steps then None
     else begin
@@ -460,23 +460,22 @@ let replay_call ?shards ~record t ~steps visit =
   in
   walk base log
 
-let replay ?shards ~record t ~steps visit =
+let replay ~record t ~steps visit =
   ignore
-    (replay_call ?shards ~record t ~steps (fun after slot ->
+    (replay_call ~record t ~steps (fun after slot ->
          visit after slot;
          false))
 
-(* Searches run in chunks whose length depends only on the latency,
-   never on [shards], so the step found and the state the cluster is
-   left in are shard-count invariant. *)
-let replay_until ?shards ~record t ~limit visit =
+(* Searches run in chunks whose length depends only on the latency, so
+   the cluster overshoots the step found by less than one chunk. *)
+let replay_until ~record t ~limit visit =
   let chunk = 16 * max 1 (t.latency - 1) in
   let start = t.step_count in
   let rec go consumed =
     if consumed >= limit then None
     else begin
       let steps = min chunk (limit - consumed) in
-      match replay_call ?shards ~record t ~steps visit with
+      match replay_call ~record t ~steps visit with
       | Some after -> Some (after - start)
       | None -> go (consumed + steps)
     end

@@ -129,7 +129,7 @@ val run_sharded : ?shards:int -> ?jobs:int -> t -> steps:int -> unit
     runs the whole call as a single window.
 
     When [latency] is 1 there is no lookahead and the call silently
-    falls back to one shard, so callers can thread a [--shards] knob
+    falls back to one shard, so callers can vary the shard count
     without caring about the topology.  A [stateful] {!Daemon} forces
     the same fallback: it inspects other nodes' live state each step,
     which only a one-shard schedule makes well-defined — so its digests
@@ -143,31 +143,28 @@ val run_sharded : ?shards:int -> ?jobs:int -> t -> steps:int -> unit
     {!restore} puts back a snapshot. *)
 
 val run_sharded_log :
-  ?shards:int -> ?jobs:int -> record:(t -> int -> 'a) -> t -> steps:int ->
-  (int * int * 'a) list
-(** {!run_sharded}, additionally calling [record t who] on the owning
-    shard immediately after node [who]'s slot ran at each step, and
-    returning the [(step, node, value)] entries merged in step order
-    (one per step, except idle daemon slots, which — running no node —
-    log nothing).  Because a node's machine state only
-    changes while it runs, this is enough to reconstruct the full
-    per-step state matrix an observer sampling after every step would
-    have seen — {!replay} does exactly that.  [record] runs on worker
-    domains: it must only touch the given node and allocate its own
-    result. *)
+  record:(t -> int -> 'a) -> t -> steps:int -> (int * int * 'a) list
+(** {!run_sharded} on one shard, additionally calling [record t who]
+    immediately after node [who]'s slot ran at each step, and
+    returning the [(step, node, value)] entries in step order (one per
+    step, except idle daemon slots, which — running no node — log
+    nothing).  Because a node's machine state only changes while it
+    runs, this is enough to reconstruct the full per-step state matrix
+    an observer sampling after every step would have seen — {!replay}
+    does exactly that. *)
 
 val replay :
-  ?shards:int -> record:(t -> int -> 'a) -> t -> steps:int ->
+  record:(t -> int -> 'a) -> t -> steps:int ->
   (int -> (int * 'a) option -> unit) -> unit
 (** One {!run_sharded_log} call of [steps] steps, then its log walked
-    on the calling domain: [visit after slot] for every step in order,
-    where [after] is the step count once that step is done and [slot]
-    is [Some (who, record t who)] for the node that ran, or [None] for
-    an idle daemon slot.  {!Net_ring.observe} and
+    step by step: [visit after slot] for every step in order, where
+    [after] is the step count once that step is done and [slot] is
+    [Some (who, record t who)] for the node that ran, or [None] for an
+    idle daemon slot.  {!Net_ring.observe} and
     [Ssos_rsm.Service.observe] are this plus a state matrix. *)
 
 val replay_until :
-  ?shards:int -> record:(t -> int -> 'a) -> t -> limit:int ->
+  record:(t -> int -> 'a) -> t -> limit:int ->
   (int -> (int * 'a) option -> bool) -> int option
 (** {!replay} for searches: the run goes in chunks of
     [16 * max 1 (latency - 1)] steps, up to [limit] steps, and stops at
@@ -175,21 +172,22 @@ val replay_until :
     from the call's start to it ([None] if no step did within
     [limit]).  Steps after it are not visited, but the cluster has
     still run to the end of its chunk: it overshoots the answer by less
-    than a chunk.  The chunk length depends only on the latency, so the
-    answer and the state the cluster is left in are shard-count
-    invariant. *)
+    than a chunk. *)
 
 val run_sharded_epochs :
   ?shards:int -> ?jobs:int -> epoch:int -> record:(t -> int -> 'a) ->
   on_epoch:(int -> (int * int * 'a) list -> unit) -> t -> steps:int -> unit
-(** {!run_sharded_log} in [epoch]-step chunks, calling
-    [on_epoch index chunk_log] on the stepping domain after each chunk
-    (the last may be shorter).  At every hook point all shards have
-    joined, so the cluster is exactly the state the same one-shard
-    prefix produces: the hook may mutate node machines — inject
-    faults, pulse reset pins — or read joint state, and the run stays
-    bit-identical for any [shards]/[jobs] provided the hook is
-    deterministic.  This is the serve engine's
+(** {!run_sharded_log} on [shards] shards in [epoch]-step chunks,
+    calling [record t who] on the owning shard after each of [who]'s
+    slots and [on_epoch index chunk_log] on the stepping domain after
+    each chunk (the last may be shorter), with the chunk's entries
+    merged in step order.  [record] runs on worker domains: it must
+    only touch the given node and allocate its own result.  At every
+    hook point all shards have joined, so the cluster is exactly the
+    state the same one-shard prefix produces: the hook may mutate node
+    machines — inject faults, pulse reset pins — or read joint state,
+    and the run stays bit-identical for any [shards]/[jobs] provided
+    the hook is deterministic.  This is the serve engine's
     execute→observe→detect→repair loop point (DESIGN.md §4k). *)
 
 type snapshot

@@ -141,11 +141,17 @@ let corrupt_state t i v =
 let corrupt_view t i v =
   Ssx.Memory.write_word (node_memory t i) view_addr (Ssx.Word.mask v)
 
+let corrupt rng t =
+  for i = 0 to t.n - 1 do
+    corrupt_state t i (Ssx_faults.Rng.int rng 0x10000);
+    corrupt_view t i (Ssx_faults.Rng.int rng 0x10000)
+  done
+
 let token_count t = Ssx_stab.Distributed.token_count ~states:(states t)
 let legitimate t = Ssx_stab.Distributed.legitimate ~states:(states t)
 
-(* [record] for the runs below: a node's counter word, read on the
-   owning shard right after the node's slot.  A node's memory only
+(* [record] for the runs below: a node's counter word, read right
+   after the node's slot.  A node's memory only
    changes while the node itself runs (delivery just queues words in the
    destination NIC), so the per-step log is enough to replay the exact
    state matrix an observer sampling after every step would see. *)
@@ -153,10 +159,10 @@ let record_state cluster who =
   Ssx.Memory.read_word (Ssx.Machine.memory (Cluster.machine cluster who))
     self_addr
 
-let observe ?shards t ~steps =
+let observe t ~steps =
   let current = states t in
   let acc = ref [] in
-  Cluster.replay ?shards ~record:record_state t.cluster ~steps
+  Cluster.replay ~record:record_state t.cluster ~steps
     (fun step slot ->
       Option.iter (fun (who, v) -> current.(who) <- v) slot;
       acc :=
@@ -207,9 +213,9 @@ let converge_moves ?(limit = 5_000) t =
     off_model_moves = !off;
     tail_moves = !tail }
 
-let run_until_legitimate ?shards t ~limit =
+let run_until_legitimate t ~limit =
   let current = states t in
-  Cluster.replay_until ?shards ~record:record_state t.cluster ~limit
+  Cluster.replay_until ~record:record_state t.cluster ~limit
     (fun _ slot ->
       match slot with
       | None -> false

@@ -80,15 +80,20 @@ val corrupt_state : t -> int -> int -> unit
 
 val corrupt_view : t -> int -> int -> unit
 
+val corrupt : Ssx_faults.Rng.t -> t -> unit
+(** The arbitrary start (Dolev & Herman's corrupted configuration):
+    node by node, an arbitrary 16-bit word into the counter, then one
+    into the view, drawn from [rng] in that order.  Taking [rng] first
+    makes it a campaign [~perturb] as it stands. *)
+
 val token_count : t -> int
 val legitimate : t -> bool
 
-val observe : ?shards:int -> t -> steps:int -> Ssx_stab.Distributed.sample list
-(** Run [steps] cluster steps on [shards] shards (default 1) in one
-    stepper call, sampling the joint state after each.  The samples are
-    rebuilt from the per-slot log ({!Cluster.replay}), so they are the
-    same for any shard count: a node's state only changes during its
-    own slot. *)
+val observe : t -> steps:int -> Ssx_stab.Distributed.sample list
+(** Run [steps] cluster steps in one stepper call, sampling the joint
+    state after each.  The samples are rebuilt from the per-slot log
+    ({!Cluster.replay}): a node's state only changes during its own
+    slot. *)
 
 type move_trace = {
   converged : int option;  (** steps to the first legitimate joint state *)
@@ -118,12 +123,11 @@ val converge_moves : ?limit:int -> t -> move_trace
     the chunk (a fixed multiple of the latency horizon) containing
     it. *)
 
-val run_until_legitimate : ?shards:int -> t -> limit:int -> int option
+val run_until_legitimate : t -> limit:int -> int option
 (** First step at which the joint state is legitimate (which may
     flicker while messages are in flight — use {!observe} plus
     {!Ssx_stab.Distributed.judge} for a windowed verdict).  The search
-    runs in {!Cluster.replay_until} chunks on [?shards] shards
-    (default 1): the returned step is exact, and it and the final
-    cluster state are shard-count invariant, but the cluster itself may
-    have advanced past it, up to the end of the chunk (a fixed multiple
-    of the latency horizon) containing it. *)
+    runs in {!Cluster.replay_until} chunks: the returned step is exact,
+    but the cluster itself may have advanced past it, up to the end of
+    the chunk (a fixed multiple of the latency horizon) containing
+    it. *)

@@ -28,30 +28,11 @@ type histogram = {
   mutable h_max : float;
 }
 
-(* A bounded ring of per-window bucket snapshots: slot [s_cur] is the
-   live window, the rest are the most recent closed ones.  [rotate]
-   advances the ring and zeroes the new live slot, so the aggregate
-   over the filled slots is always "the last [windows] windows" — a
-   live view for SLO percentiles, where the cumulative histogram above
-   would average the whole run. *)
-type sliding = {
-  s_name : string;
-  s_buckets : float array;
-  s_counts : int array array;     (* windows x (buckets + 1) *)
-  s_count : int array;
-  s_sum : float array;
-  s_min : float array;
-  s_max : float array;
-  mutable s_cur : int;
-  mutable s_filled : int;         (* live slots, including s_cur *)
-}
-
 type metric =
   | M_counter of counter
   | M_gauge of gauge
   | M_sampled of (unit -> float)
   | M_histogram of histogram
-  | M_sliding of sliding
 
 type registered = { help : string; metric : metric }
 
@@ -128,80 +109,6 @@ let histogram_count h = h.h_count
 let histogram_sum h = h.h_sum
 let histogram_max h = if h.h_count = 0 then None else Some h.h_max
 
-(* ----------------------------------------- sliding-window histograms *)
-
-let sliding ?(help = "") ?(buckets = default_buckets) ~windows name =
-  if windows < 1 then invalid_arg "Obs.sliding: windows";
-  with_lock (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some { metric = M_sliding s; _ } -> s
-      | Some _ | None ->
-        let s =
-          { s_name = name;
-            s_buckets = Array.copy buckets;
-            s_counts =
-              Array.init windows (fun _ ->
-                  Array.make (Array.length buckets + 1) 0);
-            s_count = Array.make windows 0;
-            s_sum = Array.make windows 0.;
-            s_min = Array.make windows infinity;
-            s_max = Array.make windows neg_infinity;
-            s_cur = 0;
-            s_filled = 1 }
-        in
-        Hashtbl.replace table name { help; metric = M_sliding s };
-        s)
-
-let observe_sliding s v =
-  let n = Array.length s.s_buckets in
-  let rec slot i = if i >= n || v <= s.s_buckets.(i) then i else slot (i + 1) in
-  let i = slot 0 in
-  let c = s.s_cur in
-  s.s_counts.(c).(i) <- s.s_counts.(c).(i) + 1;
-  s.s_count.(c) <- s.s_count.(c) + 1;
-  s.s_sum.(c) <- s.s_sum.(c) +. v;
-  if v < s.s_min.(c) then s.s_min.(c) <- v;
-  if v > s.s_max.(c) then s.s_max.(c) <- v
-
-let rotate s =
-  let windows = Array.length s.s_count in
-  let c = (s.s_cur + 1) mod windows in
-  s.s_cur <- c;
-  s.s_filled <- Stdlib.min (s.s_filled + 1) windows;
-  Array.fill s.s_counts.(c) 0 (Array.length s.s_counts.(c)) 0;
-  s.s_count.(c) <- 0;
-  s.s_sum.(c) <- 0.;
-  s.s_min.(c) <- infinity;
-  s.s_max.(c) <- neg_infinity
-
-(* The aggregate over the retained windows, rendered as an ordinary
-   snapshot histogram so {!quantile} and both sinks work unchanged. *)
-let sliding_aggregate s =
-  let windows = Array.length s.s_count in
-  let nb = Array.length s.s_buckets in
-  let counts = Array.make (nb + 1) 0 in
-  let count = ref 0 in
-  let sum = ref 0. in
-  let mn = ref infinity in
-  let mx = ref neg_infinity in
-  for w = 0 to s.s_filled - 1 do
-    let slot = (s.s_cur - w + windows) mod windows in
-    for i = 0 to nb do
-      counts.(i) <- counts.(i) + s.s_counts.(slot).(i)
-    done;
-    count := !count + s.s_count.(slot);
-    sum := !sum +. s.s_sum.(slot);
-    if s.s_count.(slot) > 0 then begin
-      if s.s_min.(slot) < !mn then mn := s.s_min.(slot);
-      if s.s_max.(slot) > !mx then mx := s.s_max.(slot)
-    end
-  done;
-  (Array.copy s.s_buckets, counts, !count, !sum, !mn, !mx)
-
-let sliding_count s =
-  let _, _, count, _, _, _ = sliding_aggregate s in
-  count
-
 (* ----------------------------------------------------------- events *)
 
 type event = { seq : int; name : string; fields : (string * string) list }
@@ -259,10 +166,6 @@ type value =
 type row = { name : string; help : string; value : value }
 type snapshot = { rows : row list; recent_events : event list }
 
-let sliding_value s =
-  let buckets, counts, count, sum, min, max = sliding_aggregate s in
-  Histogram { buckets; counts; count; sum; min; max }
-
 let snapshot () =
   let rows =
     with_lock (fun () ->
@@ -281,11 +184,6 @@ let snapshot () =
                     sum = h.h_sum;
                     min = h.h_min;
                     max = h.h_max }
-              | M_sliding s ->
-                let buckets, counts, count, sum, min, max =
-                  sliding_aggregate s
-                in
-                Histogram { buckets; counts; count; sum; min; max }
             in
             { name; help; value } :: acc)
           table [])

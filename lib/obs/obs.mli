@@ -75,31 +75,6 @@ val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 val histogram_max : histogram -> float option
 
-(** {1 Sliding-window histograms}
-
-    A bounded ring of per-window bucket snapshots with exact
-    count/sum/min/max side-cars per window.  Observations land in the
-    live window; {!rotate} closes it and opens a fresh one, discarding
-    the oldest once [windows] are retained.  The snapshot value (and
-    {!sliding_value}) is the aggregate over the retained windows,
-    rendered as an ordinary {!Histogram} — so {!quantile} reports
-    {e live} percentiles over the last [windows] windows where a
-    cumulative {!histogram} would average the whole run.  The serve
-    engine rotates once per epoch to track request-latency SLOs. *)
-
-type sliding
-
-val sliding :
-  ?help:string -> ?buckets:float array -> windows:int -> string -> sliding
-(** [sliding ~windows name] registers (or retrieves) a sliding
-    histogram retaining the live window plus the [windows - 1] most
-    recently closed ones.  [windows] must be at least 1. *)
-
-val observe_sliding : sliding -> float -> unit
-val rotate : sliding -> unit
-val sliding_count : sliding -> int
-(** Observations in the retained windows. *)
-
 (** {1 Spans} *)
 
 val timed : string -> (unit -> 'a) -> 'a * float
@@ -149,11 +124,6 @@ type snapshot = { rows : row list; recent_events : event list }
     time. *)
 
 val snapshot : unit -> snapshot
-
-val sliding_value : sliding -> value
-(** The current aggregate of a sliding histogram as a snapshot
-    {!Histogram} value — feed it to {!quantile} for live SLO
-    percentiles without taking a full registry snapshot. *)
 
 val quantile : value -> float -> float option
 (** [quantile value q] (with [q] in [0, 1]) estimates the [q]-quantile

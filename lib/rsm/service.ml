@@ -99,11 +99,22 @@ let corrupt_kv t i key v =
 let corrupt_tag t i key v =
   Ssx.Memory.write_word (node_memory t i) (Replica.seent_addr key) (Ssx.Word.mask v)
 
+let corrupt rng t =
+  let word () = Ssx_faults.Rng.int rng 0x10000 in
+  for i = 0 to t.n - 1 do
+    corrupt_state t i (word ());
+    corrupt_view t i (word ());
+    for key = 0 to Wire.keys - 1 do
+      corrupt_kv t i key (word ());
+      corrupt_tag t i key (word ())
+    done
+  done
+
 let legitimate t =
   Ssx_stab.Distributed.rsm_legitimate ~states:(states t) ~kvs:(kvs t)
 
 (* [record] for the runs below: the node's counter plus a copy of its
-   store, read on the owning shard right after the node's slot.  A
+   store, read right after the node's slot.  A
    node's memory only changes while it runs (delivery just queues words
    in the destination NIC), so the per-step log reconstructs the exact
    (states, kvs) matrices an observer sampling after every step would
@@ -114,10 +125,10 @@ let record_node cluster who =
     Array.init Wire.keys (fun key ->
         Ssx.Memory.read_word mem (Replica.kv_addr key)) )
 
-let observe ?shards t ~steps =
+let observe t ~steps =
   let states = states t and kvs = kvs t in
   let acc = ref [] in
-  Ssos_net.Cluster.replay ?shards ~record:record_node t.cluster ~steps
+  Ssos_net.Cluster.replay ~record:record_node t.cluster ~steps
     (fun step slot ->
       Option.iter
         (fun (who, (state, kv)) ->
@@ -131,9 +142,9 @@ let observe ?shards t ~steps =
         :: !acc);
   List.rev !acc
 
-let run_until_stable ?shards t ~limit =
+let run_until_stable t ~limit =
   let states = states t and kvs = kvs t in
-  Ssos_net.Cluster.replay_until ?shards ~record:record_node t.cluster ~limit
+  Ssos_net.Cluster.replay_until ~record:record_node t.cluster ~limit
     (fun _ slot ->
       match slot with
       | None -> false

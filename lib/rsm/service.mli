@@ -38,9 +38,10 @@ val build :
 (** An [n]-node service (default 5, at least 2), ring-linked
     [i -> i+1 mod n] unless [edges] overrides the topology (the
     protocol still assumes the ring order for its guarantees).
-    [ticks_per_slot] defaults to 200 — a replica pass is longer than a
-    {!Ssos_net.Net_ring} pass, since it serves clients and retransmits
-    a whole frame.  [capacity] (default 64) bounds the cluster NIC RX
+    [ticks_per_slot] defaults to 600 — a replica pass (roughly 300–350
+    ticks) is longer than a {!Ssos_net.Net_ring} pass, since it serves
+    clients and retransmits a whole frame, and a slot must fit a full
+    pass plus a backlog-draining one.  [capacity] (default 64) bounds the cluster NIC RX
     queue; [client_capacity] (default 8) the client NIC RX queue —
     requests arriving into a full queue are dropped and counted
     ({!Ssos_net.Nic.stats}).
@@ -76,19 +77,23 @@ val corrupt_tag : t -> int -> int -> int -> unit
 (** Overwrite node [i]'s received-frame tag for [key] — fakes a
     complete frame and can trigger a transiently incoherent move. *)
 
+val corrupt : Ssx_faults.Rng.t -> t -> unit
+(** The arbitrary start: node by node, arbitrary 16-bit words drawn
+    from [rng] into the counter, then the view, then key by key the
+    store word and its tag.  Taking [rng] first makes it a campaign
+    [~perturb] as it stands. *)
+
 val legitimate : t -> bool
 (** {!Ssx_stab.Distributed.rsm_legitimate} on the current state. *)
 
-val observe :
-  ?shards:int -> t -> steps:int -> Ssx_stab.Distributed.rsm_sample list
-(** Run [steps] cluster steps on [shards] shards (default 1) in one
-    stepper call, sampling counters and stores after each.  The samples
-    are rebuilt from the per-slot log ({!Ssos_net.Cluster.replay}), so
-    they are the same for any shard count. *)
+val observe : t -> steps:int -> Ssx_stab.Distributed.rsm_sample list
+(** Run [steps] cluster steps in one stepper call, sampling counters
+    and stores after each.  The samples are rebuilt from the per-slot
+    log ({!Ssos_net.Cluster.replay}). *)
 
-val run_until_stable : ?shards:int -> t -> limit:int -> int option
+val run_until_stable : t -> limit:int -> int option
 (** First step at which the joint state is {!legitimate} (which may
     flicker while a frame is in flight — use {!observe} plus
-    {!Ssx_stab.Distributed.rsm_judge} for a windowed verdict).  Chunks,
-    shard-count invariance and the cluster's overshoot past the answer
-    as {!Ssos_net.Net_ring.run_until_legitimate}. *)
+    {!Ssx_stab.Distributed.rsm_judge} for a windowed verdict).  Chunks
+    and the cluster's overshoot past the answer as
+    {!Ssos_net.Net_ring.run_until_legitimate}. *)

@@ -1,21 +1,15 @@
-(* Requests come from one of two sources.  [Fixed] is the original
-   trial-shaped driver: precomputed per-node (slot, word) arrays, used
-   by the campaigns (T16–T19), whose draw sequence is pinned by the
-   bit-identity differentials.  [Open] is the continuous-operation
-   source: per-node rng streams drawn one slot at a time, so a serve
-   run needs no horizon decided up front.  [Open] performs exactly the
-   draw sequence of [schedule] — same streams, same per-slot draws —
-   so a fixed-duration open run injects the very words a sufficiently
-   long schedule would (pinned in test_serve.ml). *)
-type source =
-  | Fixed of { schedule : (int * int) array array; cursor : int array }
-  | Open of { rate : float; rngs : Ssx_faults.Rng.t array; rid : int array }
-
+(* One source: per-node rng streams drawn one slot at a time, so a
+   serve run needs no horizon decided up front, while a trial bounds
+   each node to [slots] slots.  Node [i]'s stream is seed stream
+   [i + 1]; the draw sequence per slot is pinned against a test-side
+   schedule oracle in test_serve.ml. *)
 type t = {
   service : Service.t;
-  source : source;
+  rate : float;
+  slots : int;
+  rngs : Ssx_faults.Rng.t array;
+  rid : int array;  (* per node, the rolling request id *)
   slot : int array;
-  injected : int list array;  (* per node, newest first *)
   dropped : int array;
   last_word : int array;  (* per node, for consecutive-duplicate dedup *)
   mutable responses : (int * int * int) list;  (* newest first *)
@@ -23,56 +17,29 @@ type t = {
      the stepping domain: per node, the injection steps of not-yet-
      answered requests keyed by the echoed (op, id, key) byte. *)
   pending : (int, int Queue.t) Hashtbl.t array;
+  mutable injected : int;
   mutable committed : int;
   mutable latencies : int list;  (* newest first, drained by callers *)
 }
 
-let schedule ?(rate = 0.05) ~n ~slots ~seed () =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Workload.schedule: rate";
-  Array.init n (fun node ->
-      let rng = Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed (node + 1)) in
-      let rid = ref 0 in
-      let acc = ref [] in
-      for slot = 1 to slots do
-        if Ssx_faults.Rng.float rng < rate then begin
-          let put = Ssx_faults.Rng.bool rng in
-          let key = Ssx_faults.Rng.int rng Wire.keys in
-          let value = if put then Ssx_faults.Rng.int rng 256 else 0 in
-          rid := (!rid mod 15) + 1;
-          acc := (slot, Wire.request ~put ~rid:!rid ~key ~value) :: !acc
-        end
-      done;
-      Array.of_list (List.rev !acc))
-
-let make service source =
+let open_loop ?(rate = 0.05) ?(slots = max_int) ~seed service =
+  if rate < 0.0 || rate > 1.0 then invalid_arg "Workload.open_loop: rate";
   let n = service.Service.n in
   { service;
-    source;
+    rate;
+    slots;
+    rngs =
+      Array.init n (fun node ->
+          Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed (node + 1)));
+    rid = Array.make n 0;
     slot = Array.make n 0;
-    injected = Array.make n [];
     dropped = Array.make n 0;
     last_word = Array.make n 0;
     responses = [];
     pending = Array.init n (fun _ -> Hashtbl.create 16);
+    injected = 0;
     committed = 0;
     latencies = [] }
-
-let create service schedule =
-  if Array.length schedule <> service.Service.n then
-    invalid_arg "Workload.create: schedule size does not match node count";
-  make service
-    (Fixed { schedule; cursor = Array.make (Array.length schedule) 0 })
-
-let open_loop ?(rate = 0.05) ~seed service =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Workload.open_loop: rate";
-  let n = service.Service.n in
-  make service
-    (Open
-       { rate;
-         rngs =
-           Array.init n (fun node ->
-               Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed (node + 1)));
-         rid = Array.make n 0 })
 
 let discard t =
   Array.iter
@@ -81,55 +48,44 @@ let discard t =
 
 (* Runs on the owning worker domain right after node [who]'s slot: it
    touches only [who]'s cells of the per-node arrays and allocates its
-   own result, as {!Ssos_net.Cluster.run_sharded_log} requires — which
-   is what makes the whole workload shard-count invariant.  The entry
-   carries both directions of that slot's client traffic: responses
-   drained, then requests injected (drained words were transmitted
-   before this slot's deliveries, so within an entry that order is the
-   causal one). *)
+   own result, as {!Ssos_net.Cluster.run_sharded_epochs} requires —
+   which is what makes the whole workload shard-count invariant.  The
+   entry carries both directions of that slot's client traffic:
+   responses drained, then the request injected (drained words were
+   transmitted before this slot's deliveries, so within an entry that
+   order is the causal one). *)
 let record t _cluster who =
   t.slot.(who) <- t.slot.(who) + 1;
-  let slot = t.slot.(who) in
-  let injected_now = ref [] in
-  let deliver word =
-    if Ssos_net.Nic.deliver t.service.Service.clients.(who) word then begin
-      t.injected.(who) <- word :: t.injected.(who);
-      injected_now := word :: !injected_now
-    end
-    else t.dropped.(who) <- t.dropped.(who) + 1
-  in
-  (match t.source with
-  | Fixed { schedule; cursor } ->
-    let sched = schedule.(who) in
-    let len = Array.length sched in
-    while cursor.(who) < len && fst sched.(cursor.(who)) <= slot do
-      let _, word = sched.(cursor.(who)) in
-      cursor.(who) <- cursor.(who) + 1;
-      deliver word
-    done
-  | Open { rate; rngs; rid } ->
-    let rng = rngs.(who) in
-    if Ssx_faults.Rng.float rng < rate then begin
+  let injected =
+    let rng = t.rngs.(who) in
+    if t.slot.(who) <= t.slots && Ssx_faults.Rng.float rng < t.rate then begin
       let put = Ssx_faults.Rng.bool rng in
       let key = Ssx_faults.Rng.int rng Wire.keys in
       let value = if put then Ssx_faults.Rng.int rng 256 else 0 in
-      rid.(who) <- (rid.(who) mod 15) + 1;
-      deliver (Wire.request ~put ~rid:rid.(who) ~key ~value)
-    end);
-  (Ssos_net.Nic.drain_tx t.service.Service.clients.(who), List.rev !injected_now)
+      t.rid.(who) <- (t.rid.(who) mod 15) + 1;
+      let word = Wire.request ~put ~rid:t.rid.(who) ~key ~value in
+      if Ssos_net.Nic.deliver t.service.Service.clients.(who) word then
+        Some word
+      else begin
+        t.dropped.(who) <- t.dropped.(who) + 1;
+        None
+      end
+    end
+    else None
+  in
+  (Ssos_net.Nic.drain_tx t.service.Service.clients.(who), injected)
 
 (* Merge a chunk of the step-ordered log.  A replica's transmit block
    may replay after a watchdog preemption and emit the same response
    word twice in a row; genuine consecutive responses always differ in
    the rolling request id, so dropping per-node consecutive duplicates
    is exact.  Each surviving response is paired FIFO with the oldest
-   unanswered request carrying the same echoed (op, id, key) byte —
-   the streaming form of [matched]'s multiset pairing — which yields
-   the incremental commit count and a per-request latency in cluster
+   unanswered request carrying the same echoed (op, id, key) byte,
+   which yields the commit count and a per-request latency in cluster
    steps. *)
 let merge t log =
   List.iter
-    (fun (step, who, (drained, injected_now)) ->
+    (fun (step, who, (drained, injected)) ->
       List.iter
         (fun word ->
           if word <> t.last_word.(who) then begin
@@ -143,8 +99,9 @@ let merge t log =
             | Some _ | None -> ()
           end)
         drained;
-      List.iter
+      Option.iter
         (fun word ->
+          t.injected <- t.injected + 1;
           let byte = Wire.match_byte word in
           let q =
             match Hashtbl.find_opt t.pending.(who) byte with
@@ -155,12 +112,12 @@ let merge t log =
               q
           in
           Queue.push step q)
-        injected_now)
+        injected)
     log
 
-let run ?(shards = 1) ?jobs t ~steps =
+let run t ~steps =
   merge t
-    (Ssos_net.Cluster.run_sharded_log ~shards ?jobs ~record:(record t)
+    (Ssos_net.Cluster.run_sharded_log ~record:(record t)
        t.service.Service.cluster ~steps)
 
 let run_epochs ?(shards = 1) ?jobs t ~epoch ~steps ~on_epoch =
@@ -181,8 +138,7 @@ let ops t =
         value = op.Wire.value })
     t.responses
 
-let injected t =
-  Array.fold_left (fun acc words -> acc + List.length words) 0 t.injected
+let injected t = t.injected
 
 let dropped t = Array.fold_left ( + ) 0 t.dropped
 
@@ -193,32 +149,4 @@ let take_latencies t =
   t.latencies <- [];
   l
 
-let matched t =
-  (* Pair responses with injected requests per node, as multisets of
-     the echoed (op, id, key) byte: a response commits a request when
-     one injected request with that byte is still unmatched. *)
-  let tables =
-    Array.map
-      (fun words ->
-        let table = Hashtbl.create 16 in
-        List.iter
-          (fun word ->
-            let byte = Wire.match_byte word in
-            Hashtbl.replace table byte
-              (1 + Option.value ~default:0 (Hashtbl.find_opt table byte)))
-          words;
-        table)
-      t.injected
-  in
-  List.fold_left
-    (fun acc (_, who, word) ->
-      let table = tables.(who) in
-      let byte = Wire.match_byte word in
-      match Hashtbl.find_opt table byte with
-      | Some count when count > 0 ->
-        Hashtbl.replace table byte (count - 1);
-        acc + 1
-      | Some _ | None -> acc)
-    0 t.responses
-
-let lost t = injected t - matched t
+let lost t = t.injected - t.committed

@@ -2,12 +2,13 @@
     {!Service}, injected through the per-node client NICs while the
     cluster runs, with responses collected in exact serve order.
 
-    The whole driver is built on
-    {!Ssos_net.Cluster.run_sharded_log}'s record hook — requests are
-    delivered (and responses drained) on the owning shard right after
-    the node's slot, keyed off a per-node slot counter rather than
-    wall-clock steps — so injection times, drops, responses, and every
-    derived count are bit-identical for any shard count.
+    The whole driver is built on the stepper's record hook
+    ({!Ssos_net.Cluster.run_sharded_log} and
+    {!Ssos_net.Cluster.run_sharded_epochs}) — requests are delivered
+    (and responses drained) on the owning shard right after the node's
+    slot, keyed off a per-node slot counter rather than wall-clock
+    steps — so injection times, drops, responses, and every derived
+    count are bit-identical for any shard count.
 
     Response order {e is} serve order: a node serves only during its
     own slot, exactly one node slot runs per cluster step, the client
@@ -18,28 +19,15 @@
 
 type t
 
-val schedule :
-  ?rate:float -> n:int -> slots:int -> seed:int64 -> unit ->
-  (int * int) array array
-(** Per-node request schedules: at each of [slots] per-node slots, with
-    probability [rate] (default 0.05) one request — a put of a random
-    value or a get, uniform over the {!Wire.keys} keys, request ids
-    rolling 1..15 — derived from [seed] (stream [node + 1]), ordered by
-    slot. *)
-
-val create : Service.t -> (int * int) array array -> t
-(** A fresh driver over [service] with one [(slot, request)] array per
-    node (from {!schedule}, or hand-built).  Injection state, counters,
-    and collected responses all start empty. *)
-
-val open_loop : ?rate:float -> seed:int64 -> Service.t -> t
-(** A fresh {e open-ended} driver: instead of a precomputed schedule,
-    each node draws its traffic one slot at a time from an rng stream
-    (seed stream [node + 1], probability [rate] per slot, default
-    0.05), so no horizon is decided up front — the continuous-serving
-    source.  The draw sequence is exactly {!schedule}'s: a
-    fixed-duration open run injects the same words a sufficiently long
-    schedule would. *)
+val open_loop : ?rate:float -> ?slots:int -> seed:int64 -> Service.t -> t
+(** A fresh driver over [service].  At each of its first [slots]
+    slots (default unbounded), node [i] draws from its own rng stream
+    (seed stream [i + 1]): with probability [rate] (default 0.05) one
+    request — a put of a random value or a get, uniform over the
+    {!Wire.keys} keys, request ids rolling 1..15.  A node past its
+    horizon draws nothing more, so a trial's traffic does not depend
+    on how many slots an unfair daemon gives each node.  Injection
+    state, counters and collected responses all start empty. *)
 
 val discard : t -> unit
 (** Drain and discard whatever is sitting in the client TX queues —
@@ -47,26 +35,25 @@ val discard : t -> unit
     corrupted staging slot during fault recovery).  Call before the
     first {!run} when the service has a past. *)
 
-val run : ?shards:int -> ?jobs:int -> t -> steps:int -> unit
-(** Advance the cluster [steps] steps (default one shard, i.e.
-    sequential), injecting scheduled requests and accumulating
-    responses.  May be called repeatedly; per-node slot counters carry
-    across calls.  Consecutive duplicate response words from one node —
-    the transmit block's replay artifact — are dropped exactly, since
-    genuine consecutive responses differ in the rolling request id.
-    [jobs] caps the stepper's worker domains
-    ({!Ssos_net.Cluster.run_sharded}); both knobs are observationally
-    pure. *)
+val run : t -> steps:int -> unit
+(** Advance the cluster [steps] steps, injecting requests and
+    accumulating responses.  May be called repeatedly; per-node slot
+    counters carry across calls.  Consecutive duplicate response words
+    from one node — the transmit block's replay artifact — are dropped
+    exactly, since genuine consecutive responses differ in the rolling
+    request id. *)
 
 val run_epochs :
   ?shards:int -> ?jobs:int -> t -> epoch:int -> steps:int ->
   on_epoch:(int -> unit) -> unit
-(** {!run} in [epoch]-step chunks: after each chunk the chunk's log is
-    merged and [on_epoch index] runs on the stepping domain, with all
-    shards joined and the cluster quiescent
-    ({!Ssos_net.Cluster.run_sharded_epochs}) — the serve engine's
-    observe/detect/repair point.  Counters, {!committed} and
-    {!take_latencies} are current as of the chunk edge. *)
+(** {!run} in [epoch]-step chunks on [shards] shards (default 1) and
+    at most [jobs] worker domains
+    ({!Ssos_net.Cluster.run_sharded_epochs}): after each chunk the
+    chunk's log is merged and [on_epoch index] runs on the stepping
+    domain, with all shards joined and the cluster quiescent — the
+    serve engine's observe/detect/repair point.  Counters, {!committed}
+    and {!take_latencies} are current as of the chunk edge, and every
+    one of them is the same for any [shards] and [jobs]. *)
 
 val responses : t -> (int * int * int) list
 (** [(step, node, word)] in serve order. *)
@@ -75,7 +62,8 @@ val ops : t -> Ssx_stab.Distributed.kv_op list
 (** The responses decoded for the linearizability judge. *)
 
 val injected : t -> int
-(** Requests accepted into client RX queues so far. *)
+(** Requests accepted into client RX queues, as of the last {!run} /
+    epoch edge. *)
 
 val dropped : t -> int
 (** Requests lost to client RX overflow (back-pressure, visible as the
@@ -83,21 +71,14 @@ val dropped : t -> int
 
 val committed : t -> int
 (** Responses paired FIFO with the oldest unanswered injected request
-    carrying the same echoed (op, id, key) byte, maintained
-    incrementally as logs merge — the windowed commit count, current
-    as of the last {!run} / epoch edge. *)
+    carrying the same echoed (op, id, key) byte, as of the last {!run}
+    / epoch edge. *)
 
 val take_latencies : t -> int list
 (** Drain the per-request latencies (cluster steps from injection to
     the paired response) accumulated since the previous call, in
     commit order — the serve engine's window feed. *)
 
-val matched : t -> int
-(** Responses paired 1:1 with injected requests per node by the echoed
-    (op, id, key) byte — the committed-request count.  Unlike
-    {!committed} this is a batch multiset pairing over the whole run
-    (blind to arrival order), kept for the trial campaigns. *)
-
 val lost : t -> int
-(** [injected - matched]: requests accepted but never answered (e.g.
+(** [injected - committed]: requests accepted but never answered (e.g.
     still queued when the run ended, or popped by a replayed read). *)

@@ -64,18 +64,14 @@ let nearest_rank sorted q =
   let rank = int_of_float (ceil (q *. float_of_int count)) in
   sorted.(max 0 (min (count - 1) (rank - 1)))
 
-let percentile latencies q =
+(* The p50 and p99 of one latency list, sorted once; -1 for none. *)
+let p50_p99 latencies =
   match latencies with
-  | [] -> -1
+  | [] -> (-1, -1)
   | l ->
     let sorted = Array.of_list l in
-    Array.sort compare sorted;
-    nearest_rank sorted q
-
-(* Request latencies are cluster steps, small integers: fine buckets
-   below the typical ring round-trip, coarse above. *)
-let latency_buckets =
-  [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000. |]
+    Array.sort Int.compare sorted;
+    (nearest_rank sorted 0.5, nearest_rank sorted 0.99)
 
 let mttr_of_incidents incidents =
   let tbl = Hashtbl.create 8 in
@@ -131,13 +127,6 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
          service.Ssos_rsm.Service.systems)
   in
   let obs = Ssos_obs.Obs.enabled () in
-  let lat_hist =
-    if obs then
-      Some
-        (Ssos_obs.Obs.sliding ~windows:8 ~buckets:latency_buckets
-           "serve.latency-steps")
-    else None
-  in
   (* Loop state.  Everything below is derived from the workload's
      merged log, the cluster step counter and the fault process — all
      bit-identical across shards/jobs — so the summary is too. *)
@@ -196,13 +185,6 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
     injected_mark := injected;
     committed_mark := committed;
     let latencies = Ssos_rsm.Workload.take_latencies wl in
-    Option.iter
-      (fun h ->
-        List.iter
-          (fun l -> Ssos_obs.Obs.observe_sliding h (float_of_int l))
-          latencies;
-        Ssos_obs.Obs.rotate h)
-      lat_hist;
     all_latencies := List.rev_append latencies !all_latencies;
     let slot = index mod slo.window in
     trail_injected.(slot) <- w_injected;
@@ -226,8 +208,7 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
     let warming = index + 1 < slo.window in
     if (not warming) && w_availability < !min_window_availability then
       min_window_availability := w_availability;
-    let w_p50 = percentile t_lats 0.5 in
-    let w_p99 = percentile t_lats 0.99 in
+    let w_p50, w_p99 = p50_p99 t_lats in
     (* Detection: ring legality on the true counters — an invariant of
        the stabilized system, it does not flicker under traffic the way
        store coherence does — plus the windowed SLO breach detectors. *)
@@ -302,6 +283,8 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
     if obs then begin
       Ssos_obs.Obs.set (Ssos_obs.Obs.gauge "serve.window-availability")
         w_availability;
+      Ssos_obs.Obs.set_int (Ssos_obs.Obs.gauge "serve.window-p50-steps") w_p50;
+      Ssos_obs.Obs.set_int (Ssos_obs.Obs.gauge "serve.window-p99-steps") w_p99;
       Ssos_obs.Obs.set_int (Ssos_obs.Obs.gauge "serve.step") step;
       Ssos_obs.Obs.incr ~by:w_injected (Ssos_obs.Obs.counter "serve.injected");
       Ssos_obs.Obs.incr ~by:w_committed (Ssos_obs.Obs.counter "serve.committed")
@@ -329,7 +312,7 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
      (ring and stores) with traffic off — the recovered-state check
      every campaign ends with, bounded by a generous drain. *)
   let final_legal =
-    Ssos_rsm.Service.run_until_stable ~shards service
+    Ssos_rsm.Service.run_until_stable service
       ~limit:(max (8 * epoch) 2_000)
     <> None
   in
@@ -351,6 +334,7 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
     Hashtbl.fold (fun kind count acc -> (kind, count) :: acc) fault_counts []
     |> List.sort compare
   in
+  let p50, p99 = p50_p99 !all_latencies in
   let summary =
     { nodes;
       duration;
@@ -365,8 +349,8 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
       repairs = !repairs;
       availability;
       min_window_availability = !min_window_availability;
-      p50 = percentile !all_latencies 0.5;
-      p99 = percentile !all_latencies 0.99;
+      p50;
+      p99;
       mttr = mttr_of_incidents incidents;
       final_legal;
       slo_met =

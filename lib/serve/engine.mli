@@ -137,9 +137,11 @@ val serve :
     probability [fault_rate] per step (default 0 — each arrival
     applies one random fault from a uniformly chosen node's full §5.2
     space).  [?report] is called once per window with the dashboard
-    sample.  [shards]/[jobs] parallelize the stepper within epochs;
-    the summary is bit-identical for any value of either.  When
-    {!Ssos_obs.Obs.enabled} the engine additionally feeds the
-    [serve.*] metrics, including the sliding [serve.latency-steps]
-    histogram (rotated per window) whose {!Ssos_obs.Obs.quantile} is
-    the live SLO percentile. *)
+    sample.  [shards]/[jobs] parallelize the stepper within epochs
+    ({!Ssos_rsm.Workload.run_epochs}); the summary is bit-identical
+    for any value of either.  The warmup steps on [shards] shards too;
+    the wind-down ({!Ssos_rsm.Service.run_until_stable}) steps one.
+    When {!Ssos_obs.Obs.enabled} the engine additionally feeds the
+    [serve.*] metrics, including the [serve.window-availability],
+    [serve.window-p50-steps] and [serve.window-p99-steps] gauges: the
+    trailing window each epoch is judged on. *)

@@ -85,8 +85,9 @@ let ring ~build ~perturb ~warmup ~horizon ~window seed =
     (Distributed.judge ~window ~samples ~end_step:(Cluster.steps cluster))
 
 (* [rsm_campaign]'s trial: the ring trial judged with [rsm_judge], then
-   a serve phase whose schedule comes from the trial seed's side stream
-   0x5e12e, checked for linearizability from replica 0's store. *)
+   a serve phase whose request streams come from the trial seed's side
+   stream 0x5e12e, checked for linearizability from replica 0's
+   store. *)
 let rsm ~build ~perturb ~warmup ~horizon ~window ~rate ~serve_steps seed =
   let service = build () in
   let cluster = service.Service.cluster in
@@ -99,17 +100,16 @@ let rsm ~build ~perturb ~warmup ~horizon ~window ~rate ~serve_steps seed =
       (Distributed.rsm_judge ~window ~samples ~end_step:(Cluster.steps cluster))
   in
   let n = service.Service.n in
-  let schedule =
-    Workload.schedule ~rate ~n
+  let wl =
+    Workload.open_loop ~rate
       ~slots:(((serve_steps + n - 1) / n) + 1)
-      ~seed:(Rng.derive seed 0x5e12e) ()
+      ~seed:(Rng.derive seed 0x5e12e) service
   in
-  let wl = Workload.create service schedule in
   Workload.discard wl;
   let init = Service.kv service 0 in
   Workload.run wl ~steps:serve_steps;
   { Runner.base;
-    committed = Workload.matched wl;
+    committed = Workload.committed wl;
     lost = Workload.lost wl;
     linearizable =
       Distributed.linearizable ~init ~ops:(Workload.ops wl) = None }

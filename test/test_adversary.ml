@@ -17,12 +17,6 @@ module Adversary = Ssx_stab.Adversary
 module Model = Ssx_stab.Model
 module Runner = Ssos_experiments.Runner
 
-let corrupt_everything rng ring =
-  for i = 0 to ring.Net_ring.n - 1 do
-    Net_ring.corrupt_state ring i (Rng.int rng 0x10000);
-    Net_ring.corrupt_view ring i (Rng.int rng 0x10000)
-  done
-
 let lossy_faults ~src:_ ~dst:_ = Link.lossy ~drop:0.1 ~max_delay:2 ()
 
 (* --- campaign determinism under daemons ----------------------------- *)
@@ -37,7 +31,7 @@ let daemon_build ~policy () =
 
 let daemon_campaign ~policy ~jobs () =
   Runner.ring_campaign ~build:(daemon_build ~policy)
-    ~perturb:corrupt_everything ~warmup:200 ~horizon:1_500 ~window:400
+    ~perturb:Net_ring.corrupt ~warmup:200 ~horizon:1_500 ~window:400
     ~oversubscribe:true ~jobs ~trials:4 ~seed:0xADL ()
 
 let test_campaign_invariance_under_daemons () =
@@ -59,7 +53,7 @@ let test_campaign_invariance_under_daemons () =
         (Runner.summarize
            (Rebuild.campaign ~trials:4 ~seed:0xADL
               (Rebuild.ring ~build:(daemon_build ~policy)
-                 ~perturb:corrupt_everything ~warmup:200 ~horizon:1_500
+                 ~perturb:Net_ring.corrupt ~warmup:200 ~horizon:1_500
                  ~window:400))))
     [ ( "crash{1}",
         Cluster.Daemon
@@ -120,7 +114,7 @@ let test_checker_dominates_concrete () =
           in
           Cluster.run_sharded ring.Net_ring.cluster ~steps:200;
           let rng = Rng.create (Int64.of_int (0x5105 + (16 * n) + s)) in
-          corrupt_everything rng ring;
+          Net_ring.corrupt rng ring;
           let trace = Net_ring.converge_moves ~limit:8_000 ring in
           (match trace.Net_ring.converged with
           | Some _ -> ()
@@ -147,7 +141,7 @@ let test_adversary_bites () =
     let build () =
       Net_ring.build ~n:4 ~policy ~seed:(Rng.derive 94L 1) ()
     in
-    Runner.ring_campaign_outcomes ~build ~perturb:corrupt_everything
+    Runner.ring_campaign_outcomes ~build ~perturb:Net_ring.corrupt
       ~warmup:200 ~horizon:3_000 ~window:500 ~trials:6 ~seed:94L ()
   in
   let dist policy =
@@ -199,9 +193,8 @@ let schedule ~policy ~steps ~seed =
   let ring = Net_ring.build ~n:4 ~policy ~seed () in
   List.map
     (fun (step, who, ()) -> (step, who))
-    (Cluster.run_sharded_log ~shards:1
-       ~record:(fun _ _ -> ())
-       ring.Net_ring.cluster ~steps)
+    (Cluster.run_sharded_log ~record:(fun _ _ -> ()) ring.Net_ring.cluster
+       ~steps)
 
 (* Every node scheduled at least once in every disjoint [window]-step
    interval of [0, steps). *)

@@ -216,91 +216,58 @@ let test_campaign_obs_invariance () =
       check_bool "pool worker throughput" true (has_prefix "pool.worker{id=");
       check_bool "machine counters" true (has "machine.ticks"))
 
-(* ------------------------------------------ sharded stepper invariance *)
+(* ------------------------------------------------ ring campaign *)
 
-(* Sharding the cluster stepper within a trial must be invisible at the
-   campaign level: same summary for any shard count, composed with any
-   worker count.  Latency 4 so the conservative horizon
-   actually engages (latency < 2 falls back to one shard),
-   lossy links so the replayed per-link RNG schedules are exercised. *)
-let ring_summary ~jobs ~shards =
+(* Partitioning ring trials across worker domains must be invisible at
+   the campaign level: the same summary at 1, 2 and 4 jobs.  Lossy
+   links so the per-link RNG streams ride in the snapshots. *)
+let ring_summary ~jobs =
   let build () =
     Ssos_net.Net_ring.build ~n:6 ~latency:4
       ~faults:(fun ~src:_ ~dst:_ ->
         Ssos_net.Link.lossy ~drop:0.1 ~max_delay:2 ())
       ~seed:77L ()
   in
-  let perturb rng ring =
-    for i = 0 to ring.Ssos_net.Net_ring.n - 1 do
-      Ssos_net.Net_ring.corrupt_state ring i (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_net.Net_ring.corrupt_view ring i (Ssx_faults.Rng.int rng 0x10000)
-    done
-  in
-  Ssos_experiments.Runner.ring_campaign ~build ~perturb ~horizon:8_000
-    ~window:600 ~oversubscribe:true ~jobs ~shards ~trials:3 ~seed:5L ()
+  Ssos_experiments.Runner.ring_campaign ~build
+    ~perturb:Ssos_net.Net_ring.corrupt ~horizon:8_000 ~window:600
+    ~oversubscribe:true ~jobs ~trials:3 ~seed:5L ()
 
-let test_ring_campaign_shards_differential () =
-  let reference = ring_summary ~jobs:1 ~shards:1 in
+let test_ring_campaign_jobs_differential () =
+  let reference = ring_summary ~jobs:1 in
   check_int "reference ran all trials" 3
     reference.Ssos_experiments.Runner.trials;
   check_bool "reference recovered at least once" true
     (reference.Ssos_experiments.Runner.recoveries > 0);
-  check_summary_equal "shards:2" reference (ring_summary ~jobs:1 ~shards:2);
-  check_summary_equal "shards:4" reference (ring_summary ~jobs:1 ~shards:4);
-  check_summary_equal "jobs:2 shards:3" reference
-    (ring_summary ~jobs:2 ~shards:3)
-
-let test_tables_shards_invariant () =
-  (* The published T14/T15 tables are bit-identical for any --shards,
-     exactly as their doc comments promise. *)
-  let t14 shards =
-    Ssos_experiments.Experiments.t14_ring_link_faults ~trials:1 ~shards ()
-  in
-  let t15 shards =
-    Ssos_experiments.Experiments.t15_ring_combined_faults ~trials:1 ~shards ()
-  in
-  check_bool "T14 shards:1 = shards:4" true (t14 1 = t14 4);
-  check_bool "T15 shards:1 = shards:4" true (t15 1 = t15 4)
+  check_summary_equal "jobs:2" reference (ring_summary ~jobs:2);
+  check_summary_equal "jobs:4" reference (ring_summary ~jobs:4)
 
 (* ------------------------------------------------ rsm campaign *)
 
 (* The replicated-service campaign adds a serve phase (client traffic
    plus a linearizability verdict) after the judged recovery; its
-   summary must stay bit-identical across worker and shard counts just
-   like the plain ring campaign.  Latency 3 so the sharded stepper's
-   conservative horizon engages; lossy links so the per-link RNG replay
-   is exercised; the perturbation corrupts every replica's counter,
-   view, store and received-frame tags. *)
+   summary must stay bit-identical across worker counts just like the
+   plain ring campaign.  Lossy links so the per-link RNG streams ride
+   in the snapshots; the perturbation corrupts every replica's
+   counter, view, store and received-frame tags. *)
 let rsm_build () =
   Ssos_rsm.Service.build ~n:5 ~obs:false ~latency:3
     ~faults:(fun ~src:_ ~dst:_ ->
       Ssos_net.Link.lossy ~drop:0.1 ~max_delay:1 ())
     ~seed:31L ()
 
-let rsm_perturb rng (service : Ssos_rsm.Service.t) =
-  for i = 0 to service.Ssos_rsm.Service.n - 1 do
-    Ssos_rsm.Service.corrupt_state service i (Ssx_faults.Rng.int rng 0x10000);
-    Ssos_rsm.Service.corrupt_view service i (Ssx_faults.Rng.int rng 0x10000);
-    for k = 0 to Ssos_rsm.Wire.keys - 1 do
-      Ssos_rsm.Service.corrupt_kv service i k (Ssx_faults.Rng.int rng 0x10000);
-      Ssos_rsm.Service.corrupt_tag service i k (Ssx_faults.Rng.int rng 0x10000)
-    done
-  done
-
-let rsm_summary_run ?(trials = 2) ~jobs ~shards () =
-  Ssos_experiments.Runner.rsm_campaign ~build:rsm_build ~perturb:rsm_perturb
-    ~oversubscribe:true ~jobs ~shards ~trials ~seed:13L ()
+let rsm_summary_run ?(trials = 2) ~jobs () =
+  Ssos_experiments.Runner.rsm_campaign ~build:rsm_build
+    ~perturb:Ssos_rsm.Service.corrupt ~oversubscribe:true ~jobs ~trials
+    ~seed:13L ()
 
 let test_rsm_campaign_differential () =
-  let reference = rsm_summary_run ~jobs:1 ~shards:1 () in
+  let reference = rsm_summary_run ~jobs:1 () in
   check_int "reference ran all trials" 2
     reference.Ssos_experiments.Runner.core.Ssos_experiments.Runner.trials;
   check_bool "reference linearized at least one trial" true
     (reference.Ssos_experiments.Runner.linearized > 0);
-  check_bool "jobs:4" true (rsm_summary_run ~jobs:4 ~shards:1 () = reference);
-  check_bool "shards:4" true (rsm_summary_run ~jobs:1 ~shards:4 () = reference);
-  check_bool "jobs:4 shards:4" true
-    (rsm_summary_run ~jobs:4 ~shards:4 () = reference)
+  check_bool "jobs:2" true (rsm_summary_run ~jobs:2 () = reference);
+  check_bool "jobs:4" true (rsm_summary_run ~jobs:4 () = reference)
 
 let test_rsm_campaign_rebuild_oracle () =
   (* Snapshot reset against rebuilding per trial: one worker runs the
@@ -310,25 +277,14 @@ let test_rsm_campaign_rebuild_oracle () =
   let reference =
     Ssos_experiments.Runner.rsm_summarize
       (Rebuild.campaign ~trials:3 ~seed:13L
-         (Rebuild.rsm ~build:rsm_build ~perturb:rsm_perturb ~warmup:400
+         (Rebuild.rsm ~build:rsm_build ~perturb:Ssos_rsm.Service.corrupt
+            ~warmup:400
             ~horizon:2_500 ~window:400 ~rate:0.05 ~serve_steps:1_200))
   in
   check_int "reference ran all trials" 3
     reference.Ssos_experiments.Runner.core.Ssos_experiments.Runner.trials;
   check_bool "snapshot reset = rebuild" true
-    (rsm_summary_run ~trials:3 ~jobs:1 ~shards:1 () = reference)
-
-let test_rsm_tables_shards_invariant () =
-  (* The published T16/T17 tables are bit-identical for any --shards,
-     exactly as their doc comments promise. *)
-  let t16 shards =
-    Ssos_experiments.Experiments.t16_rsm_link_faults ~trials:1 ~shards ()
-  in
-  let t17 shards =
-    Ssos_experiments.Experiments.t17_rsm_combined_faults ~trials:1 ~shards ()
-  in
-  check_bool "T16 shards:1 = shards:4" true (t16 1 = t16 4);
-  check_bool "T17 shards:1 = shards:4" true (t17 1 = t17 4)
+    (rsm_summary_run ~trials:3 ~jobs:1 () = reference)
 
 let suite =
   [ case "pool returns results in task order" test_pool_run_in_order;
@@ -342,10 +298,8 @@ let suite =
       test_snapshot_reset_trials_are_independent;
     case "campaign is bit-identical with metrics on or off"
       test_campaign_obs_invariance;
-    case "ring campaign: shards/jobs differential"
-      test_ring_campaign_shards_differential;
-    case "T14/T15 tables are shard-invariant" test_tables_shards_invariant;
-    case "rsm campaign: jobs/shards differential" test_rsm_campaign_differential;
+    case "ring campaign: jobs differential"
+      test_ring_campaign_jobs_differential;
+    case "rsm campaign: jobs differential" test_rsm_campaign_differential;
     case "rsm campaign: snapshot reset against rebuild oracle"
-      test_rsm_campaign_rebuild_oracle;
-    case "T16/T17 tables are shard-invariant" test_rsm_tables_shards_invariant ]
+      test_rsm_campaign_rebuild_oracle ]

@@ -117,24 +117,16 @@ let test_serve_rejects_bad_rate () =
   check_bool "non-zero exit" true (code <> 0);
   check_bool "error on stderr" true (String.length err > 0)
 
-(* cluster: the convergence search always runs on the sharded per-slot
-   log, so every line but the stepper line is the same with or without
-   --shards, for any shard count and latency. *)
-let test_cluster_shard_flag_invisible () =
-  let lines args =
-    let code, out, _err = run_cli ("cluster --seed 3 " ^ args) in
-    check_int (args ^ ": exit 0") 0 code;
-    String.split_on_char '\n' out
-    |> List.filter (fun l -> not (String.starts_with ~prefix:"stepper:" l))
-  in
+(* Cluster trials step one shard: no command takes a shard count, and
+   serve takes no stepper domain count. *)
+let test_no_shard_flags () =
   List.iter
-    (fun latency ->
-      let plain = lines latency in
-      check_bool (latency ^ ": reports the restored ring") true
-        (List.exists (fun l -> contains l "200 steps later") plain);
-      check_bool (latency ^ ": --shards 2 prints the same lines") true
-        (lines (latency ^ " --shards 2") = plain))
-    [ "--latency 1"; "--latency 4" ]
+    (fun args ->
+      let code, _out, err = run_cli args in
+      check_bool (args ^ ": non-zero exit") true (code <> 0);
+      check_bool (args ^ ": names the flag") true (contains err "unknown option"))
+    [ "experiment T14 --shards 2"; "cluster --shards 2"; "rsm --shards 2";
+      "serve --shards 2"; "serve --jobs 2" ]
 
 let suite =
   [ case "unknown subcommand is rejected" test_unknown_subcommand_rejected;
@@ -149,5 +141,5 @@ let suite =
     case "serve --require-incident fails on a clean run"
       test_serve_require_incident_fails_fault_free;
     case "serve rejects an invalid fault rate" test_serve_rejects_bad_rate;
-    case "cluster prints the same lines with or without --shards"
-      test_cluster_shard_flag_invisible ]
+    case "no command takes --shards, serve takes no --jobs"
+      test_no_shard_flags ]

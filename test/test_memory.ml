@@ -169,9 +169,35 @@ let apply mem = function
   | Blit (src, dst, len) -> Ssx.Memory.blit mem ~src ~dst ~len
   | Load (base, image) -> Ssx.Memory.load_image mem ~base image
 
+(* The ops on a byte model of memory: [write_byte], [write_word] and
+   [blit] skip ROM bytes; [force_write_byte] and [load_image] write
+   through. *)
+let model_ops model ops =
+  let set ~force a v =
+    let a = Ssx.Addr.mask a in
+    if force || not (in_rom a) then Bytes.set model a (Char.chr (v land 0xff))
+  in
+  List.iter
+    (function
+      | Write_byte (a, v) -> set ~force:false a v
+      | Write_word (a, v) ->
+        set ~force:false a v;
+        set ~force:false (a + 1) (v lsr 8)
+      | Force_write (a, v) -> set ~force:true a v
+      | Blit (src, dst, len) ->
+        for i = 0 to len - 1 do
+          set ~force:false (dst + i)
+            (Char.code (Bytes.get model (Ssx.Addr.mask (src + i))))
+        done
+      | Load (base, image) ->
+        String.iteri (fun i c -> set ~force:true (base + i) (Char.code c)) image)
+    ops
+
 (* Capture (a dump and the generations), run random writes from every
-   source, restore: memory must equal the capture outside ROM and keep
-   the current ROM bytes, exactly the moved pages are copied, each
+   source, restore.  The dirty memory must equal the byte model of the
+   ops applied to the capture, and the restored memory the capture
+   outside ROM with the model's ROM bytes (only [force_write_byte] and
+   [load_image] reach ROM); exactly the moved pages are copied, each
    with a generation no page ever held, and a second restore copies
    nothing. *)
 let prop_page_restore =
@@ -196,16 +222,24 @@ let prop_page_restore =
           (List.init Ssx.Memory.page_count Fun.id)
       in
       let copied = Ssx.Memory.restore_pages mem ~image ~synced in
-      let expected =
-        String.init Ssx.Memory.size (fun a ->
-            if in_rom a then dirty.[a] else image.[a])
-      in
+      let model = Bytes.of_string image in
+      model_ops model ops;
+      let expected = Bytes.of_string image in
+      List.iter
+        (fun { Ssx.Memory.base; size } ->
+          for i = 0 to size - 1 do
+            let a = Ssx.Addr.mask (base + i) in
+            Bytes.set expected a (Bytes.get model a)
+          done)
+        rom_regions;
+      let expected = Bytes.unsafe_to_string expected in
       let restored = generations mem in
       let fresh p =
         if List.mem p moved then restored.(p) > newest
         else restored.(p) = held.(p)
       in
-      copied = List.length moved
+      dirty = Bytes.unsafe_to_string model
+      && copied = List.length moved
       && Ssx.Memory.dump mem ~base:0 ~len:Ssx.Memory.size = expected
       && List.for_all fresh (List.init Ssx.Memory.page_count Fun.id)
       && synced = restored

@@ -265,13 +265,6 @@ let test_cluster_determinism () =
   in
   Helpers.check_string "identical seeds, identical executions" (run ()) (run ())
 
-let corrupt_everything rng ring =
-  let n = ring.Net_ring.n in
-  for i = 0 to n - 1 do
-    Net_ring.corrupt_state ring i (Rng.int rng 0x10000);
-    Net_ring.corrupt_view ring i (Rng.int rng 0x10000)
-  done
-
 let convergence_bound = 1_200
 (* cluster steps; generous — observed worst cases are well under it *)
 
@@ -282,7 +275,7 @@ let test_ring_converges_from_corruption () =
   Cluster.run_sharded ring.Net_ring.cluster ~steps:200;
   let rng = Rng.create 0xC0FFEEL in
   for trial = 1 to 24 do
-    corrupt_everything rng ring;
+    Net_ring.corrupt rng ring;
     let samples = Net_ring.observe ring ~steps:(convergence_bound + 600) in
     match Ssx_stab.Distributed.judge ~window:600 ~samples
             ~end_step:(Cluster.steps ring.Net_ring.cluster)
@@ -304,7 +297,7 @@ let test_ring_converges_under_lossy_links () =
   Cluster.run_sharded ring.Net_ring.cluster ~steps:200;
   let rng = Rng.create 0xBEEFL in
   for trial = 1 to 6 do
-    corrupt_everything rng ring;
+    Net_ring.corrupt rng ring;
     let samples = Net_ring.observe ring ~steps:3_000 in
     match Ssx_stab.Distributed.judge ~window:600 ~samples
             ~end_step:(Cluster.steps ring.Net_ring.cluster)
@@ -333,6 +326,25 @@ let test_cluster_snapshot_reset () =
   let second = continue () in
   Helpers.check_string "continuation reproduced after restore" first second
 
+(* The one arbitrary start against the hand loop it replaced: node by
+   node, the counter's word, then the view's.  The same words land in
+   the same cells and the rng is left at the same point. *)
+let test_corrupt_draw_order () =
+  let build () = Net_ring.build ~n:5 ~obs:false ~seed:89L () in
+  let hand = build () and one = build () in
+  let hand_rng = Rng.create 0xD1CEL and one_rng = Rng.create 0xD1CEL in
+  for i = 0 to hand.Net_ring.n - 1 do
+    Net_ring.corrupt_state hand i (Rng.int hand_rng 0x10000);
+    Net_ring.corrupt_view hand i (Rng.int hand_rng 0x10000)
+  done;
+  Net_ring.corrupt one_rng one;
+  check_bool "counters corrupted" true
+    (Array.exists (fun v -> v >= Net_ring.k) (Net_ring.states hand));
+  check_bool "same counters" true (Net_ring.states one = Net_ring.states hand);
+  check_bool "same views" true (Net_ring.views one = Net_ring.views hand);
+  check_bool "rng left at the same point" true
+    (Rng.next_int64 one_rng = Rng.next_int64 hand_rng)
+
 (* --- the scan oracle -------------------------------------------------- *)
 
 (* The cluster step as Cluster's docs define it, written against the
@@ -340,30 +352,32 @@ let test_cluster_snapshot_reset () =
    policy, run its slot, broadcast what it sent onto its outgoing links
    in creation order, then scan every link in creation order and
    deliver whatever is due.  O(links) per step, and nothing shared with
-   the stepper's calendars, windows or outboxes.  It drives a freshly
-   built ring whose cluster was seeded with [seed] and runs the default
-   50 ticks per slot; a stateful daemon reads each node's counter, as
-   Net_ring registers it for the stepper. *)
+   the stepper's calendars, windows or outboxes.  [of_cluster] drives
+   a freshly built cluster that was seeded with [seed] and runs
+   [ticks_per_slot] ticks per slot, with a stateful daemon reading node
+   [i]'s abstract state as [state i]; [create] is that for a ring at
+   the default 50 ticks per slot, whose daemons read each node's
+   counter, as Net_ring registers it for the stepper. *)
 module Scan = struct
   type t = {
     cluster : Cluster.t;
     state : int -> int;
+    ticks_per_slot : int;
     rng : Rng.t;
     mutable now : int;
     mutable skipped : int;
   }
 
-  let ticks_per_slot = 50
+  let of_cluster ~ticks_per_slot ~state ~seed cluster =
+    if Cluster.steps cluster <> 0 then invalid_arg "Scan.of_cluster: stepped";
+    { cluster; state; ticks_per_slot; rng = Rng.create (Rng.derive seed 0);
+      now = 0; skipped = 0 }
 
   let create ~seed ring =
     let cluster = ring.Net_ring.cluster in
-    if Cluster.steps cluster <> 0 then invalid_arg "Scan.create: stepped";
-    let state i =
-      Ssx.Memory.read_word (Ssx.Machine.memory (Cluster.machine cluster i))
-        Net_ring.self_addr
-    in
-    { cluster; state; rng = Rng.create (Rng.derive seed 0); now = 0;
-      skipped = 0 }
+    of_cluster ~ticks_per_slot:50 ~seed cluster ~state:(fun i ->
+        Ssx.Memory.read_word (Ssx.Machine.memory (Cluster.machine cluster i))
+          Net_ring.self_addr)
 
   let step o =
     let c = o.cluster in
@@ -380,7 +394,7 @@ module Scan = struct
     (match chosen with
     | None -> o.skipped <- o.skipped + 1
     | Some who ->
-      Ssx.Machine.run (Cluster.machine c who) ~ticks:ticks_per_slot;
+      Ssx.Machine.run (Cluster.machine c who) ~ticks:o.ticks_per_slot;
       let words = Nic.drain_tx (Cluster.nic c who) in
       Array.iter
         (fun link ->
@@ -527,9 +541,10 @@ let test_sharded_snapshot_mid_horizon () =
   Helpers.check_string "mid-horizon snapshot: the oracle agrees" sharded
     (scanned oracle)
 
-let test_sharded_observe_invariance () =
+let test_observe_matches_oracle () =
   (* The sample stream rebuilt from the stepper's log equals the
-     oracle's, sampled after every step. *)
+     oracle's, sampled after every step, and the cluster it leaves is
+     the oracle's. *)
   let build () =
     Net_ring.build ~n:5 ~policy:Cluster.Fair_random ~latency:4
       ~faults:lossy_faults ~seed:83L ()
@@ -542,25 +557,18 @@ let test_sharded_observe_invariance () =
         { Ssx_stab.Distributed.step = oracle.Scan.now;
           states = Net_ring.states ring })
   in
-  List.iter
-    (fun shards ->
-      let ring = build () in
-      let samples = Net_ring.observe ~shards ring ~steps:300 in
-      check_bool
-        (Printf.sprintf "samples identical at shards:%d" shards)
-        true (samples = reference);
-      Helpers.check_string
-        (Printf.sprintf "oracle = shards:%d after observe" shards)
-        (scanned oracle) (stepped ring.Net_ring.cluster))
-    [ 1; 2; 4 ]
+  let ring = build () in
+  check_bool "samples identical" true
+    (Net_ring.observe ring ~steps:300 = reference);
+  Helpers.check_string "oracle = cluster after observe" (scanned oracle)
+    (stepped ring.Net_ring.cluster)
 
-let test_sharded_convergence_step_invariance () =
-  (* run_until_legitimate returns the exact first legitimate step under
-     any shard count, equal to the oracle's; and the cluster it leaves
-     behind, past that step to the end of its chunk, is the oracle's at
-     the same step. *)
+let test_convergence_step_matches_oracle () =
+  (* run_until_legitimate returns the oracle's exact first legitimate
+     step, and the cluster it leaves behind, past that step to the end
+     of its chunk, is the oracle's at the same step. *)
   let build () = Net_ring.build ~n:4 ~latency:4 ~seed:84L () in
-  let corrupt ring = corrupt_everything (Rng.create 0xABBAL) ring in
+  let corrupt ring = Net_ring.corrupt (Rng.create 0xABBAL) ring in
   let ring = build () in
   let oracle = Scan.create ~seed:84L ring in
   Scan.run oracle ~steps:200;
@@ -575,21 +583,15 @@ let test_sharded_convergence_step_invariance () =
   in
   let expected = first_legitimate 0 in
   check_bool "the oracle converged" true (expected <> None);
-  List.iter
-    (fun shards ->
-      let stepper = build () in
-      let c = stepper.Net_ring.cluster in
-      Cluster.run_sharded ~shards c ~steps:200;
-      corrupt stepper;
-      let answer = Net_ring.run_until_legitimate ~shards stepper ~limit:4_000 in
-      check_bool
-        (Printf.sprintf "same first legitimate step at shards:%d" shards)
-        true (answer = expected);
-      Scan.run oracle ~steps:(Cluster.steps c - oracle.Scan.now);
-      Helpers.check_string
-        (Printf.sprintf "oracle = shards:%d after the search" shards)
-        (scanned oracle) (stepped c))
-    [ 1; 2; 4 ]
+  let stepper = build () in
+  let c = stepper.Net_ring.cluster in
+  Cluster.run_sharded c ~steps:200;
+  corrupt stepper;
+  check_bool "same first legitimate step" true
+    (Net_ring.run_until_legitimate stepper ~limit:4_000 = expected);
+  Scan.run oracle ~steps:(Cluster.steps c - oracle.Scan.now);
+  Helpers.check_string "oracle = cluster after the search" (scanned oracle)
+    (stepped c)
 
 let test_converge_moves_matches_oracle () =
   (* converge_moves rebuilds each step's joint state from the stepper's
@@ -643,7 +645,7 @@ let test_converge_moves_matches_oracle () =
         Net_ring.build ~n:5 ~policy:(Cluster.Daemon daemon) ~latency:4
           ~faults:lossy_faults ~seed:88L ()
       in
-      let corrupt ring = corrupt_everything (Rng.create 0x5EEDL) ring in
+      let corrupt ring = Net_ring.corrupt (Rng.create 0x5EEDL) ring in
       let oracle_ring = build () in
       let oracle = Scan.create ~seed:88L oracle_ring in
       Scan.run oracle ~steps:200;
@@ -712,8 +714,7 @@ let test_raise_refuses_until_restore () =
       in
       refused "run_sharded" (fun () ->
           Cluster.run_sharded ~shards c ~steps:100);
-      refused "observe" (fun () ->
-          ignore (Net_ring.observe ~shards ring ~steps:10));
+      refused "observe" (fun () -> ignore (Net_ring.observe ring ~steps:10));
       refused "capture" (fun () -> ignore (Cluster.capture c));
       Cluster.restore c snap;
       Cluster.run_sharded ~shards c ~steps:400;
@@ -988,7 +989,7 @@ let campaign_build () =
     ()
 
 let campaign_perturb rng ring =
-  corrupt_everything rng ring;
+  Net_ring.corrupt rng ring;
   let links = Cluster.links ring.Net_ring.cluster in
   Array.iter (fun l -> (Link.faults l).Link.drop <- 0.5) links;
   Cluster.run_sharded ring.Net_ring.cluster ~steps:50;
@@ -1093,10 +1094,12 @@ let suite =
     case "ring: converges from 24 joint corruptions" test_ring_converges_from_corruption;
     case "ring: converges under lossy links" test_ring_converges_under_lossy_links;
     case "cluster: snapshot reset reproduces continuations" test_cluster_snapshot_reset;
+    case "corrupt: the hand loop's draws, in its order" test_corrupt_draw_order;
     case "sharded: digest matrix vs sequential" test_sharded_digest_matrix;
     case "sharded: mid-horizon snapshot round-trip" test_sharded_snapshot_mid_horizon;
-    case "sharded: observe samples invariant" test_sharded_observe_invariance;
-    case "sharded: convergence step invariant" test_sharded_convergence_step_invariance;
+    case "observe: samples match the oracle's" test_observe_matches_oracle;
+    case "run_until_legitimate: the oracle's first legitimate step"
+      test_convergence_step_matches_oracle;
     case "converge_moves: trace matches the oracle's"
       test_converge_moves_matches_oracle;
     case "stepper: a raising node refuses runs until restore"

@@ -91,77 +91,6 @@ let test_histogram () =
         check_bool "side-car max" true (max = 5000.)
       | Some _ | None -> Alcotest.fail "histogram row missing")
 
-(* Sliding histograms: the aggregate must equal an exact side-car
-   computation over the retained windows at every rotation — counts,
-   sum, min/max and per-bucket tallies — as observations age out. *)
-let test_sliding_matches_exact_windows () =
-  with_obs (fun () ->
-      let buckets = [| 10.; 100.; 1000. |] in
-      let windows = 3 in
-      let h = Obs.sliding ~buckets ~windows "s.lat" in
-      let feed =
-        [ [ 5.; 50. ]; [ 500.; 7. ]; [ 5000. ]; []; [ 1.; 2.; 3.; 2000. ] ]
-      in
-      let bucket_of v =
-        let i = ref 0 in
-        while !i < Array.length buckets && v > buckets.(!i) do
-          incr i
-        done;
-        !i
-      in
-      let rec take n = function
-        | x :: rest when n > 0 -> x :: take (n - 1) rest
-        | _ -> []
-      in
-      let retained = ref [] in
-      List.iteri
-        (fun round obs ->
-          List.iter (Obs.observe_sliding h) obs;
-          retained := obs :: !retained;
-          let live = List.concat (take windows !retained) in
-          let name = Printf.sprintf "round %d" round in
-          (match Obs.sliding_value h with
-          | Obs.Histogram { counts; count; sum; min; max; _ } ->
-            check_int (name ^ ": count") (List.length live) count;
-            check_bool (name ^ ": sum") true
-              (sum = List.fold_left ( +. ) 0. live);
-            let expected = Array.make (Array.length buckets + 1) 0 in
-            List.iter
-              (fun v ->
-                let b = bucket_of v in
-                expected.(b) <- expected.(b) + 1)
-              live;
-            check_bool (name ^ ": bucket counts") true (counts = expected);
-            if count > 0 then begin
-              check_bool (name ^ ": min") true
-                (min = List.fold_left Float.min infinity live);
-              check_bool (name ^ ": max") true
-                (max = List.fold_left Float.max neg_infinity live)
-            end
-          | _ -> Alcotest.failf "%s: sliding_value is not a histogram" name);
-          check_int (name ^ ": sliding_count") (List.length live)
-            (Obs.sliding_count h);
-          Obs.rotate h)
-        feed;
-      (* The registry snapshot renders the same aggregate, so quantile
-         and the sinks work on sliding histograms unchanged. *)
-      match find_row "s.lat" with
-      | Some { Obs.value = Obs.Histogram { count; _ } as value; _ } ->
-        check_int "snapshot aggregate count" (Obs.sliding_count h) count;
-        check_bool "quantile served from the aggregate" true
-          (Obs.quantile value 0.5 <> None)
-      | Some _ | None -> Alcotest.fail "sliding row missing")
-
-let test_sliding_validation () =
-  with_obs (fun () ->
-      (match Obs.sliding ~windows:0 "s.bad" with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "windows=0 must be rejected");
-      (* Name-keyed like every other metric: same name, same ring. *)
-      let a = Obs.sliding ~windows:2 "s.same" in
-      Obs.observe_sliding (Obs.sliding ~windows:2 "s.same") 4.;
-      check_int "same name, same sliding histogram" 1 (Obs.sliding_count a))
-
 let test_default_buckets_ascending () =
   let b = Obs.default_buckets in
   check_bool "non-empty" true (Array.length b > 0);
@@ -430,10 +359,6 @@ let suite =
   [ case "counters, gauges and sampled gauges" test_counters_and_gauges;
     case "snapshot rows are sorted" test_snapshot_rows_sorted;
     case "histogram buckets and side-cars" test_histogram;
-    case "sliding histogram matches exact side-car windows"
-      test_sliding_matches_exact_windows;
-    case "sliding histogram validation and registry keying"
-      test_sliding_validation;
     case "default buckets are sane" test_default_buckets_ascending;
     case "bucketed quantiles agree with exact nearest-rank"
       test_quantile_agrees_with_exact;

@@ -1,9 +1,9 @@
 (* The continuous-operation engine (lib/serve): bit-identity of the
    closed loop across shard and job counts (the DESIGN.md §4k
    argument), the full execute→observe→detect→repair→verify cycle
-   under a background fault process, the open-loop workload's
-   equivalence to its fixed-schedule ancestor, and the serve.* metric
-   registry. *)
+   under a background fault process, the open-loop workload against
+   the fixed-schedule driver it replaced (kept here as the oracle), and
+   the serve.* metric registry. *)
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -11,6 +11,118 @@ let check_bool = Helpers.check_bool
 
 module Engine = Ssos_serve.Engine
 module Workload = Ssos_rsm.Workload
+module Service = Ssos_rsm.Service
+module Wire = Ssos_rsm.Wire
+module Cluster = Ssos_net.Cluster
+module Nic = Ssos_net.Nic
+module Rng = Ssx_faults.Rng
+
+(* The fixed-schedule client driver the open-loop source replaced,
+   kept as its oracle (as [Scan] keeps the O(links) stepper and
+   [Rebuild] the per-trial rebuild): per-node [(slot, word)] schedules
+   drawn up front over [slots] slots, delivered by a record hook on the
+   public stepper, and the batch multiset matcher that counted
+   commits.  Public APIs only. *)
+module Fixed = struct
+  let schedule ~rate ~n ~slots ~seed =
+    Array.init n (fun node ->
+        let rng = Rng.create (Rng.derive seed (node + 1)) in
+        let rid = ref 0 in
+        let acc = ref [] in
+        for slot = 1 to slots do
+          if Rng.float rng < rate then begin
+            let put = Rng.bool rng in
+            let key = Rng.int rng Wire.keys in
+            let value = if put then Rng.int rng 256 else 0 in
+            rid := (!rid mod 15) + 1;
+            acc := (slot, Wire.request ~put ~rid:!rid ~key ~value) :: !acc
+          end
+        done;
+        Array.of_list (List.rev !acc))
+
+  type run = {
+    injected : int list array;  (* per node, newest first *)
+    dropped : int;
+    responses : (int * int * int) list;
+        (* serve order, consecutive per-node duplicates dropped *)
+    slots_run : int array;
+  }
+
+  (* After each of node [who]'s slots: deliver its words scheduled up
+     to that slot, then drain its client TX queue. *)
+  let run (service : Service.t) schedule ~steps =
+    let n = service.Service.n in
+    let slot = Array.make n 0 and cursor = Array.make n 0 in
+    let injected = Array.make n [] and dropped = ref 0 in
+    let record _ who =
+      slot.(who) <- slot.(who) + 1;
+      let sched = schedule.(who) in
+      while
+        cursor.(who) < Array.length sched
+        && fst sched.(cursor.(who)) <= slot.(who)
+      do
+        let word = snd sched.(cursor.(who)) in
+        cursor.(who) <- cursor.(who) + 1;
+        if Nic.deliver service.Service.clients.(who) word then
+          injected.(who) <- word :: injected.(who)
+        else incr dropped
+      done;
+      Nic.drain_tx service.Service.clients.(who)
+    in
+    let log = Cluster.run_sharded_log ~record service.Service.cluster ~steps in
+    let last = Array.make n 0 in
+    let responses = ref [] in
+    List.iter
+      (fun (step, who, drained) ->
+        List.iter
+          (fun word ->
+            if word <> last.(who) then begin
+              last.(who) <- word;
+              responses := (step, who, word) :: !responses
+            end)
+          drained)
+      log;
+    { injected; dropped = !dropped; responses = List.rev !responses;
+      slots_run = slot }
+
+  let injected run =
+    Array.fold_left (fun acc words -> acc + List.length words) 0 run.injected
+
+  (* Responses paired 1:1 with injected requests per node, as multisets
+     of the echoed (op, id, key) byte, over the whole run. *)
+  let matched run =
+    let tables =
+      Array.map
+        (fun words ->
+          let table = Hashtbl.create 16 in
+          List.iter
+            (fun word ->
+              let byte = Wire.match_byte word in
+              Hashtbl.replace table byte
+                (1 + Option.value ~default:0 (Hashtbl.find_opt table byte)))
+            words;
+          table)
+        run.injected
+    in
+    List.fold_left
+      (fun acc (_, who, word) ->
+        let table = tables.(who) in
+        let byte = Wire.match_byte word in
+        match Hashtbl.find_opt table byte with
+        | Some count when count > 0 ->
+          Hashtbl.replace table byte (count - 1);
+          acc + 1
+        | Some _ | None -> acc)
+      0 run.responses
+end
+
+(* Two identically built and warmed services: one for the workload
+   under test, one for the oracle. *)
+let warmed_service ?policy () =
+  let service = Service.build ~n:5 ?policy ~latency:2 ~seed:42L () in
+  Cluster.run_sharded service.Service.cluster ~steps:600;
+  Array.iter (fun c -> ignore (Nic.drain_tx c)) service.Service.clients;
+  service
 
 let serve ~shards ~jobs =
   Engine.serve ~nodes:5 ~rate:0.08 ~fault_rate:0.002 ~duration:1500 ~shards
@@ -76,46 +188,66 @@ let test_fault_free_run_is_clean () =
   check_bool "slo met" true s.Engine.slo_met
 
 (* The open-loop source performs exactly the draw sequence of the
-   batch [schedule]: the same per-node streams, the same per-slot
-   draws.  Two identically seeded services — one driven open-loop, one
-   from a sufficiently long fixed schedule — inject the same words and
-   produce the same responses, and the streaming commit counter agrees
-   with the batch multiset matcher it refactors. *)
+   fixed schedule: the same per-node streams, the same per-slot draws.
+   Driven from identically warmed services, the open loop and a long
+   enough fixed schedule inject the same words and produce the same
+   responses, and the streaming commit counter agrees with the batch
+   multiset matcher it replaced. *)
 let test_open_loop_matches_schedule () =
   let steps = 1_200 in
-  let drive make_workload =
-    let service = Ssos_rsm.Service.build ~n:5 ~latency:2 ~seed:42L () in
-    Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster
-      ~steps:600;
-    let wl = make_workload service in
-    Workload.discard wl;
-    Workload.run wl ~steps;
-    wl
+  let open_wl =
+    Workload.open_loop ~rate:0.08 ~seed:9L (warmed_service ())
   in
-  let open_wl = drive (fun s -> Workload.open_loop ~rate:0.08 ~seed:9L s) in
-  let fixed_wl =
-    drive (fun s ->
-        Workload.create s
-          (Workload.schedule ~rate:0.08 ~n:5 ~slots:steps ~seed:9L ()))
+  Workload.run open_wl ~steps;
+  let oracle =
+    Fixed.run (warmed_service ())
+      (Fixed.schedule ~rate:0.08 ~n:5 ~slots:steps ~seed:9L)
+      ~steps
   in
   check_bool "traffic flowed" true (Workload.injected open_wl > 0);
-  check_int "same injections" (Workload.injected fixed_wl)
+  check_int "same injections" (Fixed.injected oracle)
     (Workload.injected open_wl);
+  check_int "same drops" oracle.Fixed.dropped (Workload.dropped open_wl);
   check_bool "same responses" true
-    (Workload.responses open_wl = Workload.responses fixed_wl);
+    (Workload.responses open_wl = oracle.Fixed.responses);
   check_int "streaming commits equal the batch multiset matching"
-    (Workload.matched open_wl)
-    (Workload.committed open_wl);
+    (Fixed.matched oracle) (Workload.committed open_wl);
+  check_int "lost = injected - committed"
+    (Workload.injected open_wl - Workload.committed open_wl)
+    (Workload.lost open_wl);
   check_bool "latencies drained once, all positive" true
     (let lats = Workload.take_latencies open_wl in
      List.length lats = Workload.committed open_wl
      && List.for_all (fun l -> l > 0) lats
      && Workload.take_latencies open_wl = [])
 
-(* The serve.* registry under --metrics: counters, the availability
-   gauge and the sliding latency histogram all register, and the
-   sliding histogram's quantile is served from the aggregated
-   window. *)
+(* The slot horizon: under a daemon that gives some replicas more than
+   [slots] slots, each replica draws requests for its first [slots]
+   slots and no more — exactly the oracle schedule's words. *)
+let test_slot_horizon policy () =
+  let slots = 60 and steps = 600 in
+  let wl =
+    Workload.open_loop ~rate:0.1 ~slots ~seed:9L (warmed_service ~policy ())
+  in
+  Workload.run wl ~steps;
+  let oracle =
+    Fixed.run (warmed_service ~policy ())
+      (Fixed.schedule ~rate:0.1 ~n:5 ~slots ~seed:9L)
+      ~steps
+  in
+  check_bool "a replica ran past the horizon" true
+    (Array.exists (fun s -> s > slots) oracle.Fixed.slots_run);
+  check_bool "traffic flowed" true (Fixed.injected oracle > 0);
+  check_int "same injections" (Fixed.injected oracle) (Workload.injected wl);
+  check_int "same drops" oracle.Fixed.dropped (Workload.dropped wl);
+  check_bool "same responses" true
+    (Workload.responses wl = oracle.Fixed.responses);
+  check_int "commits equal the multiset matching" (Fixed.matched oracle)
+    (Workload.committed wl)
+
+(* The serve.* registry under --metrics: counters and the trailing
+   window's availability and latency gauges all register, and the
+   latency gauges hold the last epoch's judged percentiles. *)
 let test_serve_metrics_registry () =
   Ssos_obs.Obs.reset ();
   Ssos_obs.Obs.set_enabled true;
@@ -124,8 +256,10 @@ let test_serve_metrics_registry () =
       Ssos_obs.Obs.set_enabled false;
       Ssos_obs.Obs.reset ())
     (fun () ->
+      let last = ref None in
       let s =
         Engine.serve ~nodes:5 ~rate:0.08 ~fault_rate:0.008 ~duration:2400
+          ~report:(fun w -> last := Some w)
           ~seed:3L ()
       in
       let snap = Ssos_obs.Obs.snapshot () in
@@ -139,15 +273,27 @@ let test_serve_metrics_registry () =
           check_bool ("row " ^ name) true (find name <> None))
         [ "serve.injected"; "serve.committed"; "serve.incidents";
           "serve.repairs"; "serve.window-availability"; "serve.step";
-          "serve.latency-steps" ];
+          "serve.window-p50-steps"; "serve.window-p99-steps" ];
       (match find "serve.injected" with
       | Some { Ssos_obs.Obs.value = Ssos_obs.Obs.Counter n; _ } ->
         check_int "injected counter matches the summary" s.Engine.injected n
       | _ -> Alcotest.fail "serve.injected is not a counter");
-      match find "serve.latency-steps" with
-      | Some { Ssos_obs.Obs.value = Ssos_obs.Obs.Histogram { count; _ }; _ } ->
-        check_bool "sliding histogram observed commits" true (count > 0)
-      | _ -> Alcotest.fail "serve.latency-steps is not a histogram")
+      let w =
+        match !last with
+        | Some w -> w
+        | None -> Alcotest.fail "no window reported"
+      in
+      check_bool "the last window judged commits" true (w.Engine.w_p50 > 0);
+      let gauge name expected =
+        match find name with
+        | Some { Ssos_obs.Obs.value = Ssos_obs.Obs.Gauge v; _ } ->
+          check_bool (name ^ " holds the last window's value") true
+            (v = expected)
+        | _ -> Alcotest.failf "%s is not a gauge" name
+      in
+      gauge "serve.window-availability" w.Engine.w_availability;
+      gauge "serve.window-p50-steps" (float_of_int w.Engine.w_p50);
+      gauge "serve.window-p99-steps" (float_of_int w.Engine.w_p99))
 
 let test_argument_validation () =
   let invalid name thunk =
@@ -164,8 +310,7 @@ let test_argument_validation () =
   invalid "zero epoch" (fun () ->
       Engine.serve ~epoch:0 ~duration:100 ~seed:1L ());
   invalid "open_loop bad rate" (fun () ->
-      Workload.open_loop ~rate:2.0 ~seed:1L
-        (Ssos_rsm.Service.build ~n:3 ~seed:1L ()))
+      Workload.open_loop ~rate:2.0 ~seed:1L (Service.build ~n:3 ~seed:1L ()))
 
 let suite =
   [ case "bit-identical across shard and job counts"
@@ -175,5 +320,10 @@ let suite =
     case "fault-free run stays clean" test_fault_free_run_is_clean;
     case "open loop performs the schedule's draw sequence"
       test_open_loop_matches_schedule;
+    case "open loop: slot horizon under starve{1}"
+      (test_slot_horizon
+         (Cluster.Daemon (Ssx_stab.Adversary.starve ~victim:1 ())));
+    case "open loop: slot horizon under fair-random"
+      (test_slot_horizon Cluster.Fair_random);
     case "serve.* metric registry" test_serve_metrics_registry;
     case "argument validation" test_argument_validation ]
