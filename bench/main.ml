@@ -131,11 +131,11 @@ let campaign_pair () =
 let storm_split () =
   let trials = if smoke then 300 else 6_000 in
   let master = 77L and horizon = 40_000 in
-  let system = Ssos.Reinstall.build ~obs:false () in
+  let system = Ssos.Reinstall.build () in
   Ssos.System.run system ~ticks:10_000;
   let machine = system.Ssos.System.machine in
   let snapshot = Ssx.Snapshot.capture machine in
-  let counters = Ssx.Machine.attach_tick_counters machine in
+  let counters = Ssx.Machine.tick_counters machine in
   let spec = Ssos.Reinstall.weak_spec () in
   let storms = ref 0 and recoveries = ref 0 in
   let storm_ns = ref 0. and ordinary_ns = ref 0. in
@@ -354,7 +354,7 @@ let rsm_bench () =
   let size_rows =
     List.concat_map
       (fun n ->
-        let service = Ssos_rsm.Service.build ~n ~obs:false ~seed:21L () in
+        let service = Ssos_rsm.Service.build ~n ~seed:21L () in
         Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster
           ~steps:400;
         let wl =
@@ -381,7 +381,7 @@ let rsm_bench () =
   in
   let serve shards =
     let service =
-      Ssos_rsm.Service.build ~n:5 ~obs:false ~latency:3 ~seed:23L ()
+      Ssos_rsm.Service.build ~n:5 ~latency:3 ~seed:23L ()
     in
     Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster ~steps:400;
     let wl =
@@ -803,78 +803,15 @@ let run_micro () =
 
 (* ----------------------------------------------------- observability *)
 
-(* The cost pair behind DESIGN.md §4f: the same warmed reinstall system
-   ticked with instrumentation hooks attached ([~obs:true]) and without
-   ([~obs:false]), plus a baseline built through the plain pre-obs call
-   shape ([build ()] with metrics disabled, which attaches nothing).
-   Disabled-mode overhead is baseline-vs-off — the two run identical
-   code, so anything above noise would mean the [?obs] plumbing leaks
-   cost into the uninstrumented path.  The target is under 2%. *)
-let obs_machine_pair () =
-  Format.printf "== Observability cost (machine-tick pair, hooks on/off) ==@.";
-  let block = if smoke then 100_000 else 400_000 in
-  let reps = if smoke then 7 else 11 in
-  let warmed build =
-    let system = build () in
-    Ssos.System.run system ~ticks:30_000;
-    system
-  in
-  (* Min-of-N over interleaved repetitions, each on a freshly built and
-     warmed system: baseline and obs-off run identical machine code, so
-     an OLS fit on separate quotas would drown the comparison in
-     scheduler noise, and a single long-lived instance pins whatever
-     heap placement it happened to get.  Rebuilding per repetition
-     samples placements; the per-variant minimum converges to the
-     machine's best case and is stable to well under a percent. *)
-  let variants =
-    [| ("obs-tick-baseline", fun () -> Ssos.Reinstall.build ());
-       ("obs-tick-off", fun () -> Ssos.Reinstall.build ~obs:false ());
-       ("obs-tick-on", fun () -> Ssos.Reinstall.build ~obs:true ()) |]
-  in
-  let best = Array.make 3 infinity in
-  for rep = 0 to reps - 1 do
-    (* Rotate the measurement order each repetition so no variant
-       always runs first (or last) within a triple. *)
-    for k = 0 to 2 do
-      let slot = (rep + k) mod 3 in
-      let span, build = variants.(slot) in
-      let system = warmed build in
-      let (), ns =
-        timed span (fun () ->
-            Ssx.Machine.run system.Ssos.System.machine ~ticks:block)
-      in
-      if ns < best.(slot) then best.(slot) <- ns
-    done
-  done;
-  let per100 slot = best.(slot) /. float_of_int block *. 100. in
-  let base = per100 0 and off_ns = per100 1 and on_ns = per100 2 in
-  Format.printf "  machine-tick-x100 baseline     %12.1f ns@." base;
-  Format.printf "  machine-tick-x100 obs-off      %12.1f ns@." off_ns;
-  Format.printf "  machine-tick-x100 obs-on       %12.1f ns@." on_ns;
-  let disabled_pct = (off_ns -. base) /. base *. 100. in
-  let enabled_pct = (on_ns -. off_ns) /. off_ns *. 100. in
-  Format.printf "  disabled-mode overhead:        %11.2f%%@." disabled_pct;
-  Format.printf "  enabled-mode overhead:         %11.2f%%@." enabled_pct;
-  Format.printf "  disabled overhead under 2%%:    %11s@.@."
-    (if disabled_pct < 2.0 then "yes" else "NO (BUG)");
-  [ ("obs-machine-tick-baseline-ns", base);
-    ("obs-machine-tick-off-ns", off_ns);
-    ("obs-machine-tick-on-ns", on_ns);
-    ("obs-disabled-overhead-pct", disabled_pct);
-    ("obs-enabled-overhead-pct", enabled_pct);
-    ("obs-disabled-under-2pct", if disabled_pct < 2.0 then 1.0 else 0.0) ]
-
-(* Metrics-dump smoke: with metrics enabled, one instrumented system
-   run plus a one-trial campaign must leave the registry covering every
-   layer the CLI's [--metrics] dump promises — machine, device, fault,
-   campaign and pool families all present.  Resets the registry and
-   switch afterwards so the rest of the harness stays uninstrumented. *)
+(* Metrics-dump smoke: with metrics enabled, a one-trial campaign must
+   publish every family the CLI's [--metrics] dump promises — machine,
+   device, fault, campaign and pool families all present.  Resets the
+   registry and switch afterwards so the rest of the harness publishes
+   nothing. *)
 let obs_dump_smoke () =
   let open Ssos_obs in
   Obs.reset ();
   Obs.set_enabled true;
-  let system = Ssos.Reinstall.build ~obs:true () in
-  Ssos.System.run system ~ticks:20_000;
   let (_ : Ssos_experiments.Runner.summary) =
     Ssos_experiments.Runner.heartbeat_campaign
       ~build:(fun () -> Ssos.Reinstall.build ())
@@ -963,7 +900,7 @@ let () =
   print_guest_cycle_costs costs;
   let design_rows = design_costs () in
   let micro = run_micro () in
-  let obs_rows = obs_machine_pair () @ obs_dump_smoke () in
+  let obs_rows = obs_dump_smoke () in
   if not smoke then begin
     write_json ~path:"BENCH_machine.json" micro (costs @ design_rows);
     write_flat_json ~path:"BENCH_experiments.json" campaign_rows;

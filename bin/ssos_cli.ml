@@ -17,10 +17,10 @@ let ok = Cmdliner.Cmd.Exit.ok
 (* ------------------------------------------------------------- metrics *)
 
 (* Every subcommand accepts a global [--metrics[=FORMAT]] flag.  Giving
-   it raises the observability switch before the command runs (so
-   builders attach their instrumentation) and dumps the whole registry
-   after it finishes — as an aligned table, or as JSON lines with
-   [--metrics=json]. *)
+   it raises the observability switch before the command runs (so the
+   owner of each run publishes its counts when the run ends) and dumps
+   the whole registry after it finishes — as an aligned table, or as
+   JSON lines with [--metrics=json]. *)
 let metrics_arg =
   let open Cmdliner in
   Arg.(
@@ -92,7 +92,8 @@ let demo_reinstall () =
   in
   Format.printf "after 120k further ticks: %a@." Ssx_stab.Convergence.pp_verdict
     verdict;
-  Format.printf "last heartbeats: %s@." (heartbeat_tail system 5)
+  Format.printf "last heartbeats: %s@." (heartbeat_tail system 5);
+  Ssos_obs.Obs.publish (Ssos.System.counts system)
 
 let demo_monitor () =
   Format.printf "== Section 4: reinstall executable and monitor state ==@.";
@@ -111,7 +112,8 @@ let demo_monitor () =
       Format.printf "  tick %d: monitor repaired [%s]@." d.Ssos.Monitor.tick
         (String.concat "; " d.Ssos.Monitor.violated))
     (Ssos.Monitor.detections monitor);
-  Format.printf "last heartbeats: %s@." (heartbeat_tail system 5)
+  Format.printf "last heartbeats: %s@." (heartbeat_tail system 5);
+  Ssos_obs.Obs.publish (Ssos.System.counts system)
 
 let demo_sched () =
   Format.printf "== Section 5.2: the self-stabilizing scheduler ==@.";
@@ -132,7 +134,8 @@ let demo_sched () =
     (fun i hb ->
       Format.printf "  process %d: %d heartbeats (still advancing)@." i
         (Ssx_devices.Heartbeat.count hb))
-    sched.Ssos.Sched.heartbeats
+    sched.Ssos.Sched.heartbeats;
+  Ssos_obs.Obs.publish (Ssos.Sched.counts sched)
 
 let demo_primitive () =
   Format.printf "== Section 5.1: the primitive scheduler ==@.";
@@ -151,7 +154,8 @@ let demo_primitive () =
     (fun i hb ->
       Format.printf "  process %d: %d executions (round resumed)@." i
         (Ssx_devices.Heartbeat.count hb))
-    sched.Ssos.Primitive_sched.heartbeats
+    sched.Ssos.Primitive_sched.heartbeats;
+  Ssos_obs.Obs.publish (Ssx.Machine.counts sched.Ssos.Primitive_sched.machine)
 
 (* The design argument is an [Arg.enum]: an unknown name is rejected by
    cmdliner itself, with usage on stderr and a non-zero exit. *)
@@ -218,13 +222,19 @@ let design_name = function
   | `Primitive -> "primitive"
 
 let trace design ticks entries format =
-  let machine =
+  let system_counts (system : Ssos.System.t) =
+    (system.machine, fun () -> Ssos.System.counts system)
+  in
+  let machine, counts =
     match design with
-    | `Monitor -> (Ssos.Monitor.build ()).Ssos.Monitor.system.Ssos.System.machine
-    | `Sched -> (Ssos.Sched.build ()).Ssos.Sched.machine
+    | `Monitor -> system_counts (Ssos.Monitor.build ()).Ssos.Monitor.system
+    | `Sched ->
+      let sched = Ssos.Sched.build () in
+      (sched.machine, fun () -> Ssos.Sched.counts sched)
     | `Primitive ->
-      (Ssos.Primitive_sched.build ()).Ssos.Primitive_sched.machine
-    | `Reinstall -> (Ssos.Reinstall.build ()).Ssos.System.machine
+      let machine = (Ssos.Primitive_sched.build ()).Ssos.Primitive_sched.machine in
+      (machine, fun () -> Ssx.Machine.counts machine)
+    | `Reinstall -> system_counts (Ssos.Reinstall.build ())
   in
   let trace = Ssx.Trace.create ~capacity:entries () in
   Ssx.Trace.run trace machine ~ticks;
@@ -233,6 +243,7 @@ let trace design ticks entries format =
   | _ ->
     Format.printf "last %d events of %s after %d ticks:@.%a@." entries
       (design_name design) ticks Ssx.Trace.dump trace);
+  Ssos_obs.Obs.publish (counts ());
   ok
 
 (* ------------------------------------------------------------ campaign *)
@@ -316,9 +327,11 @@ let cluster nodes drop corrupt delay limit seed latency =
       (Ssos_net.Net_ring.token_count ring)
       (if Ssos_net.Net_ring.legitimate ring then "still legitimate"
        else "ILLEGITIMATE");
+    Ssos_obs.Obs.publish (Ssos_net.Net_ring.counts ring);
     ok
   | None ->
     Format.printf "no convergence within %d cluster steps@." limit;
+    Ssos_obs.Obs.publish (Ssos_net.Net_ring.counts ring);
     Cmdliner.Cmd.Exit.cli_error)
 
 (* ----------------------------------------------------------------- rsm *)
@@ -394,6 +407,7 @@ let rsm nodes drop rate faults steps limit seed latency =
     committed (Ssos_rsm.Workload.lost wl)
     (if linearized then "responses linearizable"
      else "RESPONSES NOT LINEARIZABLE");
+  Ssos_obs.Obs.publish (Ssos_rsm.Service.counts service);
   if converged && committed > 0 && linearized then ok
   else Cmdliner.Cmd.Exit.cli_error
 
@@ -530,6 +544,7 @@ let adversary_ring nodes daemon victim down_from down_for period drop trials
       (Ssx_faults.Rng.create (Ssx_faults.Rng.derive seed64 (1000 + trial)))
       ring;
     let mt = Ssos_net.Net_ring.converge_moves ~limit ring in
+    Ssos_obs.Obs.publish (Ssos_net.Net_ring.counts ring);
     let domination =
       match (table, mt.Ssos_net.Net_ring.converged) with
       | Some tb, Some _ ->
@@ -588,6 +603,7 @@ let adversary_rsm nodes daemon victim down_from down_for period drop trials
       Ssx_stab.Distributed.rsm_judge ~window:400 ~samples
         ~end_step:(Ssos_net.Cluster.steps cluster)
     in
+    Ssos_obs.Obs.publish (Ssos_rsm.Service.counts service);
     match
       ( Ssx_stab.Convergence.converged verdict,
         Ssx_stab.Convergence.recovery_time ~faults_end verdict )

@@ -43,8 +43,6 @@ val build :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
   ?jit:bool ->
-  ?obs:bool ->
-  ?obs_label:string ->
   ?watchdog_period:int ->
   ?tasks:int ->
   ?predicates_enabled:bool ->
@@ -57,8 +55,6 @@ val build_custom :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
   ?jit:bool ->
-  ?obs:bool ->
-  ?obs_label:string ->
   ?watchdog_period:int ->
   ?code_integrity:bool ->
   guest:Guest.t ->

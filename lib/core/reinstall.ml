@@ -89,8 +89,7 @@ let build_rom ~variant ~guest ~with_timer =
 
 type wiring = Nmi_wired | Reset_wired
 
-let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs
-    ?obs_label
+let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs_label
     ?(watchdog_period = Layout.default_watchdog_period) ?(variant = Restart)
     ?(wiring = Nmi_wired) ?timer_period ?guest () =
   let guest = match guest with Some g -> g | None -> Guest.heartbeat_kernel () in
@@ -101,8 +100,8 @@ let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs
     | Reset_wired -> `Reset watchdog_period
   in
   let system =
-    System.build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs
-      ?obs_label ~watchdog ~rom ~guest ()
+    System.build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs_label ~watchdog
+      ~rom ~guest ()
   in
   (match timer_period with
   | Some period ->

@@ -36,7 +36,6 @@ val build :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
   ?jit:bool ->
-  ?obs:bool ->
   ?obs_label:string ->
   ?watchdog_period:int ->
   ?variant:variant ->

@@ -189,12 +189,7 @@ let build_rom ~n ~cs_check ~ip_mask ~refresh ~images =
 
 let build ?(n = 4) ?(cs_check = Strict_eq) ?(ip_mask = Windowed)
     ?(refresh = true) ?(watchdog_period = default_watchdog_period)
-    ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs
-    ?(obs_label = "")
-    ?processes () =
-  let obs =
-    match obs with Some v -> v | None -> Ssos_obs.Obs.enabled ()
-  in
+    ?nmi_counter_enabled ?hardwired_nmi ?jit ?processes () =
   let processes =
     match processes with
     | Some processes ->
@@ -230,20 +225,14 @@ let build ?(n = 4) ?(cs_check = Strict_eq) ?(ip_mask = Windowed)
           machine;
         hb)
   in
-  if obs then begin
-    ignore (Ssos_obs.Machine_obs.attach ~label:obs_label machine);
-    Ssos_obs.Device_obs.watchdog ~label:obs_label watchdog;
-    Array.iteri
-      (fun i hb ->
-        let label =
-          if obs_label = "" then string_of_int i
-          else Printf.sprintf "%s/%d" obs_label i
-        in
-        Ssos_obs.Device_obs.heartbeat ~label hb)
-      heartbeats
-  end;
   Ssx.Cpu.reset (Ssx.Machine.cpu machine);
   { machine; watchdog; heartbeats; processes; n }
+
+let counts sched =
+  Ssx.Machine.counts sched.machine
+  @ Ssx_devices.Watchdog.counts sched.watchdog
+  @ Ssx.Counts.indexed string_of_int Ssx_devices.Heartbeat.counts
+      sched.heartbeats
 
 let initialize_records sched =
   let mem = Ssx.Machine.memory sched.machine in

@@ -52,8 +52,6 @@ val build :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
   ?jit:bool ->
-  ?obs:bool ->
-  ?obs_label:string ->
   ?processes:Process.t array ->
   unit ->
   t
@@ -64,12 +62,11 @@ val build :
     with [processes], which must have length [n]).  All soft state
     (process table, index) starts zeroed and the scheduler bootstraps
     from it — no initialisation step exists, as self-stabilization
-    demands.
+    demands. *)
 
-    [obs] (default {!Ssos_obs.Obs.enabled}) attaches machine event
-    counters, the watchdog gauges and one heartbeat gauge per process
-    (labelled by process index, prefixed with [obs_label] when
-    given). *)
+val counts : t -> Ssx.Counts.t
+(** The machine's counts ({!Ssx.Machine.counts}), the watchdog's bites
+    and each process's heartbeat count (labelled with its index). *)
 
 val initialize_records : t -> unit
 (** Write each process's fixed [cs] and a zero [ip] into its record.

@@ -5,14 +5,11 @@ type t = {
   console : Ssx_devices.Console.t;
   nvstore : Ssx_devices.Nvstore.t;
   guest : Guest.t;
+  obs_label : string;
 }
 
-let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs
-    ?(obs_label = "") ?(watchdog = `Nmi Layout.default_watchdog_period) ~rom
-    ~guest () =
-  let obs =
-    match obs with Some v -> v | None -> Ssos_obs.Obs.enabled ()
-  in
+let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?(obs_label = "")
+    ?(watchdog = `Nmi Layout.default_watchdog_period) ~rom ~guest () =
   let config = Layout.machine_config ?nmi_counter_enabled ?hardwired_nmi () in
   let machine = Ssx.Machine.create ~config ?jit () in
   Rom_builder.install rom (Ssx.Machine.memory machine);
@@ -39,16 +36,19 @@ let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs
   Ssx_devices.Nvstore.add nvstore ~name:"os"
     ~base:((Layout.os_segment lsl 4))
     (Guest.image_bytes guest);
-  (* Instrumentation attaches only when observability resolves on, so a
-     plain build keeps the exact uninstrumented execution path. *)
-  if obs then begin
-    ignore (Ssos_obs.Machine_obs.attach ~label:obs_label machine);
-    Option.iter (Ssos_obs.Device_obs.watchdog ~label:obs_label) watchdog;
-    Ssos_obs.Device_obs.heartbeat ~label:obs_label heartbeat;
-    Ssos_obs.Device_obs.nvstore ~label:obs_label nvstore
-  end;
   Ssx.Cpu.reset (Ssx.Machine.cpu machine);
-  { machine; watchdog; heartbeat; console; nvstore; guest }
+  { machine; watchdog; heartbeat; console; nvstore; guest; obs_label }
+
+(* The label goes on the block-table rows only: the rest must read the
+   same whichever campaign worker ran a trial. *)
+let counts system =
+  let jit, simulated =
+    List.partition Ssx.Machine.is_host_count (Ssx.Machine.counts system.machine)
+  in
+  simulated
+  @ (if system.obs_label = "" then jit else Ssx.Counts.label system.obs_label jit)
+  @ Option.fold ~none:[] ~some:Ssx_devices.Watchdog.counts system.watchdog
+  @ Ssx_devices.Heartbeat.counts system.heartbeat
 
 let fault_system system =
   { Ssx_faults.Fault.machine = system.machine; watchdog = system.watchdog }

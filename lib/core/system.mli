@@ -14,13 +14,13 @@ type t = {
   console : Ssx_devices.Console.t;
   nvstore : Ssx_devices.Nvstore.t;
   guest : Guest.t;
+  obs_label : string;  (** names the block-table rows of {!counts} *)
 }
 
 val build :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
   ?jit:bool ->
-  ?obs:bool ->
   ?obs_label:string ->
   ?watchdog:[ `Nmi of int | `Reset of int | `None ] ->
   rom:Rom_builder.t ->
@@ -31,13 +31,15 @@ val build :
     and set the IDTR to the ROM IDT.  [`Nmi period] (the default wiring
     in the paper's designs) or [`Reset period] choose the watchdog pin.
     The CPU starts at the reset vector; nothing is pre-installed in RAM
-    unless the caller does so.
+    unless the caller does so.  [obs_label] (default none) tells apart
+    the block tables of systems built alike, such as a campaign's
+    workers: see {!counts}. *)
 
-    [obs] (default {!Ssos_obs.Obs.enabled}) attaches the observability
-    layer — machine event counters plus watchdog/heartbeat/nvstore
-    gauges, under names suffixed [{id=obs_label}] when a label is
-    given.  When it resolves false nothing attaches and the machine
-    runs the exact uninstrumented path. *)
+val counts : t -> Ssx.Counts.t
+(** The machine's counts ({!Ssx.Machine.counts}), the watchdog's bites
+    and the heartbeat count.  The block-table rows
+    ([machine.jit.*]) carry [{id=obs_label}] when the system has a
+    label; the others never do. *)
 
 val fault_system : t -> Ssx_faults.Fault.system
 

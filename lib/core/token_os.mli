@@ -35,8 +35,6 @@ val build :
   ?cs_check:Sched.cs_check ->
   ?refresh:bool ->
   ?jit:bool ->
-  ?obs:bool ->
-  ?obs_label:string ->
   unit ->
   Sched.t
 (** The tiny OS scheduling an [n]-machine ring (default 4). *)

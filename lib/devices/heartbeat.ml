@@ -28,3 +28,4 @@ let attach hb ?(port = default_port) machine =
 let samples hb = List.rev hb.samples
 let last hb = match hb.samples with [] -> None | s :: _ -> Some s
 let count hb = hb.n
+let counts hb = [ ("device.heartbeat.count", hb.n) ]

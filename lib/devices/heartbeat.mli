@@ -24,3 +24,6 @@ val samples : t -> sample list
 
 val last : t -> sample option
 val count : t -> int
+
+val counts : t -> Ssx.Counts.t
+(** [device.heartbeat.count]: the {!count}. *)

@@ -57,3 +57,4 @@ let counter wd = wd.counter
 let corrupt wd v = wd.counter <- v
 let period wd = wd.period
 let fired_count wd = wd.fired
+let counts wd = [ ("device.watchdog.bites", wd.fired) ]

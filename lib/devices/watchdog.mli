@@ -38,3 +38,6 @@ val corrupt : t -> int -> unit
 val period : t -> int
 val fired_count : t -> int
 (** Number of signals raised since creation (for tests/experiments). *)
+
+val counts : t -> Ssx.Counts.t
+(** [device.watchdog.bites]: the {!fired_count}. *)

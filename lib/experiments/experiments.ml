@@ -1048,7 +1048,7 @@ let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs () =
     List.map
       (fun drop ->
         let build () =
-          Ssos_rsm.Service.build ~n ~obs:false
+          Ssos_rsm.Service.build ~n
             ~faults:(fun ~src:_ ~dst:_ ->
               Ssos_net.Link.lossy ~drop ~max_delay:1 ())
             ~seed:(Ssx_faults.Rng.derive seed 100) ()
@@ -1085,7 +1085,7 @@ let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs () =
 let t17_rsm_combined_faults ?(seed = 17L) ?(trials = 8) ?jobs () =
   let n = 5 in
   let build () =
-    Ssos_rsm.Service.build ~n ~obs:false
+    Ssos_rsm.Service.build ~n
       ~seed:(Ssx_faults.Rng.derive seed 200) ()
   in
   let set_links (service : Ssos_rsm.Service.t) ~drop ~corrupt =
@@ -1248,7 +1248,7 @@ let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs () =
     List.map
       (fun (label, policy) ->
         let build () =
-          Ssos_rsm.Service.build ~n ~policy ~obs:false
+          Ssos_rsm.Service.build ~n ~policy
             ~faults:(fun ~src:_ ~dst:_ ->
               Ssos_net.Link.lossy ~drop:0.1 ~max_delay:1 ())
             ~seed:(Ssx_faults.Rng.derive seed 100) ()

@@ -71,9 +71,10 @@ let distribution outcomes =
 (* Campaign telemetry.  [summarize] stays a pure fold over outcomes —
    the summary a caller sees is computed the same way with metrics on
    or off — and the observability layer is fed afterwards, from the
-   same outcomes: per-campaign trial/recovery counters, a
-   recovery-time histogram (whose exact count/sum/max side-cars carry
-   everything the summary holds), and last-campaign gauges. *)
+   same outcomes: per-campaign trial/recovery counters and a
+   recovery-time histogram, whose exact count/sum/max side-cars carry
+   everything the summary holds.  Outcomes arrive in trial order, so
+   the histogram's float sum does not depend on the worker split. *)
 let publish ~campaign outcomes summary =
   if Ssos_obs.Obs.enabled () then begin
     let name stat = Printf.sprintf "campaign{id=%s}.%s" campaign stat in
@@ -88,12 +89,6 @@ let publish ~campaign outcomes summary =
         | Some t when o.recovered -> Ssos_obs.Obs.observe hist (float_of_int t)
         | Some _ | None -> ())
       outcomes;
-    Option.iter
-      (Ssos_obs.Obs.set (Ssos_obs.Obs.gauge (name "mean-recovery-ticks")))
-      summary.mean_recovery;
-    Option.iter
-      (Ssos_obs.Obs.set_int (Ssos_obs.Obs.gauge (name "max-recovery-ticks")))
-      summary.max_recovery;
     Ssos_obs.Obs.event "campaign.summary"
       ~fields:
         [ ("campaign", campaign);
@@ -104,17 +99,86 @@ let publish ~campaign outcomes summary =
 
 let trial_seed = Ssx_faults.Rng.derive
 
+(* What one worker counted, when metrics are on: the counts its warm
+   phase left (the same on every worker), the sum of its trials'
+   deltas position by position, and a reader for its block table's
+   totals. *)
+type ledger = {
+  warm : Ssx.Counts.t;
+  trials : int array;
+  read : unit -> Ssx.Counts.t;
+}
+
+(* The campaign's counts: the warm phase once, plus every trial's delta
+   from restore to judge.  Sums do not depend on order, so any split
+   of trials across workers publishes the same rows; only the block
+   tables' rows, marked [{host}], are per worker. *)
+let publish_counts = function
+  | [] -> ()
+  | first :: _ as ledgers ->
+    let total = Array.make (List.length first.warm) 0 in
+    List.iter
+      (fun l -> Array.iteri (fun k v -> total.(k) <- total.(k) + v) l.trials)
+      ledgers;
+    Ssos_obs.Obs.publish
+      (List.filter
+         (fun count -> not (Ssx.Machine.is_host_count count))
+         (List.mapi (fun k (name, v) -> (name, v + total.(k))) first.warm));
+    List.iter
+      (fun l ->
+        Ssos_obs.Obs.publish
+          (List.filter_map
+             (fun ((name, v) as count) ->
+               if Ssx.Machine.is_host_count count then Some (name ^ "{host}", v)
+               else None)
+             (l.read ())))
+      ledgers
+
 (* The one trial engine.  Each worker domain evaluates [warm] once,
    lazily on its first task: build the system, run the deterministic,
-   fault-free warmup and capture it.  Every trial then starts by
-   restoring that capture, which is observationally identical to
-   rebuilding and re-warming (test/rebuild.ml is the rebuild-per-trial
-   oracle the campaign tests compare against), so outcomes are
-   bit-identical for any [jobs]. *)
-let run_trials ?oversubscribe ?jobs ~trials ~seed ~warm trial =
-  Array.to_list
-    (Pool.run_with ?oversubscribe ?jobs ~init:warm trials (fun state i ->
-         trial state (trial_seed seed i)))
+   fault-free warmup and capture it.  Every trial then starts with
+   [restore], back to that capture, which is observationally identical
+   to rebuilding and re-warming (test/rebuild.ml is the
+   rebuild-per-trial oracle the campaign tests compare against), so
+   outcomes are bit-identical for any [jobs].  With metrics on, each
+   trial also adds its delta of [counts] to its worker's ledger. *)
+let run_trials ?oversubscribe ?jobs ~trials ~seed ~warm ~restore ~counts trial
+    =
+  let ledgers = Atomic.make [] in
+  let init () =
+    let state = warm () in
+    if not (Ssos_obs.Obs.enabled ()) then (state, None)
+    else begin
+      let warm = counts state in
+      let l =
+        { warm;
+          trials = Array.make (List.length warm) 0;
+          read = (fun () -> counts state) }
+      in
+      let rec add () =
+        let seen = Atomic.get ledgers in
+        if not (Atomic.compare_and_set ledgers seen (l :: seen)) then add ()
+      in
+      add ();
+      (state, Some l)
+    end
+  in
+  let outcomes =
+    Pool.run_with ?oversubscribe ?jobs ~init trials (fun (state, ledger) i ->
+        restore state;
+        let seed = trial_seed seed i in
+        match ledger with
+        | None -> trial state seed
+        | Some l ->
+          let before = counts state in
+          let outcome = trial state seed in
+          List.iteri
+            (fun k ((_, b), (_, a)) -> l.trials.(k) <- l.trials.(k) + a - b)
+            (List.combine before (counts state));
+          outcome)
+  in
+  publish_counts (Atomic.get ledgers);
+  Array.to_list outcomes
 
 let judged ~faults_end verdict =
   { recovered = Ssx_stab.Convergence.converged verdict;
@@ -128,8 +192,10 @@ let heartbeat_campaign ~build ~space ~spec ~burst ?(warmup = 30_000)
         let system = build () in
         Ssos.System.run system ~ticks:warmup;
         (system, Ssx.Snapshot.capture system.Ssos.System.machine))
-      (fun (system, snapshot) seed ->
-        Ssx.Snapshot.restore snapshot system.Ssos.System.machine;
+      ~restore:(fun (system, snapshot) ->
+        Ssx.Snapshot.restore snapshot system.Ssos.System.machine)
+      ~counts:(fun (system, _) -> Ssos.System.counts system)
+      (fun (system, _) seed ->
         let rng = Ssx_faults.Rng.create seed in
         ignore
           (Ssx_faults.Injector.inject_now
@@ -185,8 +251,10 @@ let sched_campaign ~build ?space ~burst ?(warmup = 100_000)
         in
         Ssx.Machine.run sched.Ssos.Sched.machine ~ticks:warmup;
         (sched, space, Ssx.Snapshot.capture sched.Ssos.Sched.machine))
-      (fun (sched, space, snapshot) seed ->
-        Ssx.Snapshot.restore snapshot sched.Ssos.Sched.machine;
+      ~restore:(fun (sched, _, snapshot) ->
+        Ssx.Snapshot.restore snapshot sched.Ssos.Sched.machine)
+      ~counts:(fun (sched, _, _) -> Ssos.Sched.counts sched)
+      (fun (sched, space, _) seed ->
         let rng = Ssx_faults.Rng.create seed in
         ignore
           (Ssx_faults.Injector.inject_now (Ssos.Sched.fault_system sched) ~rng
@@ -209,9 +277,11 @@ let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
         Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster
           ~steps:warmup;
         (ring, Ssos_net.Cluster.capture ring.Ssos_net.Net_ring.cluster))
-      (fun (ring, snapshot) seed ->
+      ~restore:(fun (ring, snapshot) ->
+        Ssos_net.Cluster.restore ring.Ssos_net.Net_ring.cluster snapshot)
+      ~counts:(fun (ring, _) -> Ssos_net.Net_ring.counts ring)
+      (fun (ring, _) seed ->
         let cluster = ring.Ssos_net.Net_ring.cluster in
-        Ssos_net.Cluster.restore cluster snapshot;
         perturb (Ssx_faults.Rng.create seed) ring;
         (* The perturbation may itself have stepped the cluster (e.g. a
            message-fault phase); recovery counts from wherever it
@@ -286,9 +356,11 @@ let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
         Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster
           ~steps:warmup;
         (service, Ssos_net.Cluster.capture service.Ssos_rsm.Service.cluster))
-      (fun (service, snapshot) seed ->
+      ~restore:(fun (service, snapshot) ->
+        Ssos_net.Cluster.restore service.Ssos_rsm.Service.cluster snapshot)
+      ~counts:(fun (service, _) -> Ssos_rsm.Service.counts service)
+      (fun (service, _) seed ->
         let cluster = service.Ssos_rsm.Service.cluster in
-        Ssos_net.Cluster.restore cluster snapshot;
         perturb (Ssx_faults.Rng.create seed) service;
         (* The perturbation may itself step the cluster (a message-fault
            phase); recovery counts from wherever it ended. *)

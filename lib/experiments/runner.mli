@@ -15,7 +15,16 @@
     bit-identical for any [jobs], and equal to building and warming a
     fresh system for every trial: [test/rebuild.ml] is that
     rebuild-per-trial oracle, and the campaign tests compare each
-    family against it. *)
+    family against it.
+
+    With {!Ssos_obs.Obs.enabled}, a campaign publishes what it counted
+    when it ends: its system's counts ({!Ssos.System.counts} and the
+    like) for the warm phase once, plus every trial's delta from
+    restore to judge, summed per worker; then per-campaign
+    [campaign{id=…}] trial and recovery counters and a recovery-ticks
+    histogram.  The rows are the same for any [jobs], except the
+    [{host}]-marked block-table rows: each worker's table outlives its
+    trials. *)
 
 type outcome = {
   recovered : bool;

@@ -584,7 +584,7 @@ let run_shard ?jit ~seed ~shard ~iters () =
   (* Per-shard throughput accounting (observability only; the summary
      is assembled from the returned record, so campaign results stay
      bit-identical with metrics on or off).  Together with the pool's
-     [pool.jobs] gauge and [pool.worker{id=k}.tasks] counters this
+     [pool.jobs{host}] gauge and [pool.worker{id=k}.tasks{host}] counters this
      shows where campaign time went when jobs scaling looks flat. *)
   if Ssos_obs.Obs.enabled () then begin
     Ssos_obs.Obs.incr ~by:iters

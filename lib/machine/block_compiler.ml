@@ -118,7 +118,6 @@ type t = {
   mutable block_ticks : int;    (* instructions executed via compiled ops *)
   mutable loop_ticks : int;     (* ticks run as closed-form self-loops *)
   mutable burst_ticks : int;    (* ticks executed through [rep] bursts *)
-  scratch : Tick_counters.t;    (* sink for counts nobody reads *)
   execute : Cpu.t -> Cpu.event;
       (* the execute stage handed to {!Cpu.step_with}, built once so a
          tick allocates nothing *)
@@ -584,7 +583,6 @@ let create mem =
       cur = dummy_block; cur_ix = 0;
       built = 0; retranslations = 0;
       block_ticks = 0; loop_ticks = 0; burst_ticks = 0;
-      scratch = Tick_counters.make ();
       (* The compiled op at cs:ip, or the interpreter's raw decode
          where nothing compiles. *)
       execute =
@@ -722,15 +720,7 @@ let run_window t cpu ~(c : Tick_counters.t) ~fuel =
    0, hands the next tick to the ordinary per-tick path (devices, then
    {!step_cpu}), so port handlers and pins see exactly the per-tick
    device state. *)
-let run_quiet t cpu ~(devices : Device.t array) ~counters ~budget =
-  let c =
-    match counters with
-    | Some _ -> Tick_counters.make ()
-    | None ->
-      (* Nobody reads the accumulator: reuse the machine-local sink to
-         avoid per-call allocation (fields just grow, harmlessly). *)
-      t.scratch
-  in
+let run_quiet t cpu ~(devices : Device.t array) ~counters:c ~budget =
   let ndev = Array.length devices in
   let i = ref 0 in
   while !i < budget do
@@ -760,9 +750,4 @@ let run_quiet t cpu ~(devices : Device.t array) ~counters ~budget =
       Tick_counters.note c (step_cpu t cpu);
       incr i
     end
-  done;
-  match counters with
-  | Some tc ->
-    Tick_counters.add tc c;
-    Tick_counters.flush tc
-  | None -> ()
+  done

@@ -41,7 +41,7 @@ val run_quiet :
   t ->
   Cpu.t ->
   devices:Device.t array ->
-  counters:Tick_counters.t option ->
+  counters:Tick_counters.t ->
   budget:int ->
   unit
 (** Run exactly [budget] ticks of a machine, with the same result as
@@ -63,8 +63,8 @@ val run_quiet :
     before port I/O and uncompilable positions, and that tick runs
     through the per-tick path, so port handlers see exactly the device
     state, [steps] and NMI countdown they would under the interpreter.
-    Event counts are batched into [counters] with one flush per
-    call. *)
+    Every tick's event is counted into [counters], a window's ticks
+    at once. *)
 
 (** {1 Stats} *)
 

@@ -17,8 +17,7 @@ type t = {
       (* device-state capture hooks: calling one captures the device's
          current host-side state and returns the thunk that restores it *)
   mutable jit : Block_compiler.t option;
-  mutable counters : Tick_counters.t option;
-      (* batched event accounting; installed by Machine_obs *)
+  counters : Tick_counters.t;  (* every tick's event, always counted *)
 }
 
 let cpu m = m.cpu
@@ -27,13 +26,23 @@ let ticks m = m.cpu.Cpu.steps
 let jit m = m.jit
 let tick_counters m = m.counters
 
-let attach_tick_counters m =
-  match m.counters with
-  | Some c -> c
-  | None ->
-    let c = Tick_counters.make () in
-    m.counters <- Some c;
-    c
+let is_host_count (name, _) = String.starts_with ~prefix:"machine.jit." name
+
+let counts m =
+  let c = m.counters in
+  let jit read = match m.jit with Some jit -> read jit | None -> 0 in
+  [ ("machine.ticks", c.Tick_counters.ticks);
+    ("machine.executed", c.Tick_counters.executed);
+    ("machine.interrupts", c.Tick_counters.interrupts);
+    ("machine.nmis", c.Tick_counters.nmis);
+    ("machine.exceptions", c.Tick_counters.exceptions);
+    ("machine.idle", c.Tick_counters.idle);
+    ("machine.resets", c.Tick_counters.resets);
+    ("machine.mem.writes", Memory.write_count m.mem);
+    ("machine.mem.rom-refusals", Memory.rom_refusal_count m.mem);
+    ("machine.jit.blocks-built", jit Block_compiler.built);
+    ("machine.jit.retranslations", jit Block_compiler.retranslations);
+    ("machine.jit.block-ticks", jit Block_compiler.block_ticks) ]
 
 (* The block table reads code changes from the memory's page
    generations. *)
@@ -61,7 +70,7 @@ let create ?config ?jit () =
   let m =
     { cpu; mem; devices = [||]; device_ticks = [||];
       ports = Array.make 256 null_port; resettables = [||];
-      jit = None; counters = None }
+      jit = None; counters = Tick_counters.make () }
   in
   (* Port numbers are a single byte in the instruction encoding, so a
      flat 256-entry table replaces the hashtable (and its per-I/O
@@ -87,9 +96,8 @@ let add_resettable m capture =
 let resettable_count m = Array.length m.resettables
 let capture_device_state m = Array.map (fun capture -> capture ()) m.resettables
 
-(* One tick: every device, one engine step, the event counted.  The
-   caller flushes the counters. *)
-let step m =
+(* One tick: every device, one engine step, the event counted. *)
+let tick m =
   let cpu = m.cpu in
   let devices = m.device_ticks in
   for i = 0 to Array.length devices - 1 do
@@ -100,19 +108,7 @@ let step m =
     | Some jit -> Block_compiler.step_cpu jit cpu
     | None -> Cpu.step cpu
   in
-  (match m.counters with
-  | Some c -> Tick_counters.note c event
-  | None -> ());
-  event
-
-let flush m =
-  match m.counters with
-  | Some c -> Tick_counters.flush c
-  | None -> ()
-
-let tick m =
-  let event = step m in
-  flush m;
+  Tick_counters.note m.counters event;
   event
 
 let run m ~ticks =
@@ -129,10 +125,9 @@ let run m ~ticks =
         ~counters:m.counters ~budget:chunk;
       remaining := !remaining - chunk
     | None ->
-      ignore (step m);
+      ignore (tick m);
       decr remaining
-  done;
-  flush m
+  done
 
 let run_until m ~limit pred =
   let rec loop n =

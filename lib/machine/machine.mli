@@ -24,7 +24,8 @@ val create : ?config:Cpu.config -> ?jit:bool -> unit -> t
 val cpu : t -> Cpu.t
 val memory : t -> Memory.t
 val ticks : t -> int
-(** Number of ticks executed since creation. *)
+(** Number of ticks executed: the CPU's step counter, which a snapshot
+    restore rewinds with the rest of the architectural state. *)
 
 val jit : t -> Block_compiler.t option
 (** The machine's block compiler, if enabled (for stats and tests). *)
@@ -41,13 +42,23 @@ val set_jit_default : bool -> unit
 val jit_default_enabled : unit -> bool
 (** The current process-wide [?jit] default. *)
 
-val tick_counters : t -> Tick_counters.t option
-(** The batched event counters, when observability has attached some. *)
+val tick_counters : t -> Tick_counters.t
+(** The machine's step-event counters: every tick since creation, on
+    either run path.  Unlike {!ticks} they are host state, which a
+    snapshot restore leaves alone. *)
 
-val attach_tick_counters : t -> Tick_counters.t
-(** Install (or fetch the already-installed) batched event counters.
-    The run loops count each step event into them and flush once per
-    {!run}/{!tick}; {!Machine_obs} registers the flush sink. *)
+val counts : t -> Counts.t
+(** The machine's counts, named [machine.*]: the {!tick_counters}
+    ([ticks], [executed], [interrupts], [nmis], [exceptions], [idle],
+    [resets]), the memory's [mem.writes] and [mem.rom-refusals], and the
+    block table's [jit.blocks-built], [jit.retranslations] and
+    [jit.block-ticks] (0 without a block compiler). *)
+
+val is_host_count : string * int -> bool
+(** Whether a count is the block table's ([machine.jit.*], labelled or
+    not).  Those are host state: a table outlives snapshot restores, so
+    what it has compiled depends on what the machine ran before, not on
+    the run since the restore. *)
 
 val add_device : t -> Device.t -> unit
 

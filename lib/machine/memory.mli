@@ -51,8 +51,8 @@ val write_count : t -> int
 (** Total byte writes accepted through {!write_byte},
     {!force_write_byte} and the paths built on them ({!write_word},
     {!load_image}, {!blit}).  Plain int accounting kept unconditionally
-    — a single increment on the store path — and surfaced as a sampled
-    observability gauge. *)
+    — a single increment on the store path — and read out by
+    {!Machine.counts}. *)
 
 val rom_refusal_count : t -> int
 (** Writes {!write_byte} silently dropped because the target byte lies

@@ -1,10 +1,6 @@
-(* Plain-int per-machine event accounting, batched toward lib/obs.
-
-   The machine bumps these plain mutable fields (free on the tick path,
-   and the block-compiled run loops bump them once per straight-line
-   block) and calls [flush] once per [Machine.run]/[Machine.tick],
-   where the registered sink moves the accumulated deltas into the
-   shared atomic registry. *)
+(* Plain-int per-machine event accounting: free on the tick path, and
+   the block-compiled run loops bump the fields once per straight-line
+   block. *)
 
 type t = {
   mutable ticks : int;
@@ -14,12 +10,11 @@ type t = {
   mutable exceptions : int;
   mutable idle : int;
   mutable resets : int;
-  mutable flush_fn : t -> unit;
 }
 
 let make () =
   { ticks = 0; executed = 0; interrupts = 0; nmis = 0; exceptions = 0;
-    idle = 0; resets = 0; flush_fn = (fun _ -> ()) }
+    idle = 0; resets = 0 }
 
 let note t (event : Cpu.event) =
   t.ticks <- t.ticks + 1;
@@ -30,17 +25,3 @@ let note t (event : Cpu.event) =
   | Cpu.Took_exception _ -> t.exceptions <- t.exceptions + 1
   | Cpu.Halted_idle -> t.idle <- t.idle + 1
   | Cpu.Did_reset -> t.resets <- t.resets + 1
-
-(* Merge a local accumulator (the run loops count into a stack-local
-   record so the machine-shared one isn't touched per tick). *)
-let add t c =
-  t.ticks <- t.ticks + c.ticks;
-  t.executed <- t.executed + c.executed;
-  t.interrupts <- t.interrupts + c.interrupts;
-  t.nmis <- t.nmis + c.nmis;
-  t.exceptions <- t.exceptions + c.exceptions;
-  t.idle <- t.idle + c.idle;
-  t.resets <- t.resets + c.resets
-
-let set_flush t f = t.flush_fn <- f
-let flush t = t.flush_fn t

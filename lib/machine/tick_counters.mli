@@ -1,12 +1,10 @@
-(** Per-machine event counters, batched toward the observability layer.
+(** A machine's step-event counts.
 
-    A machine with observability attached counts step events in these
-    plain mutable fields; the block-compiled run loops bump them once
-    per straight-line block.
-    {!flush} (called once per [Machine.run] / [Machine.tick]) hands the
-    accumulated values to the sink registered with {!set_flush} —
-    {!Machine_obs} moves them into the shared atomic registry and
-    zeroes the fields.  See DESIGN.md §4f/§4g for the cost argument. *)
+    Every machine owns one record and counts every tick into it, always:
+    the per-tick path bumps one field per event, and the block
+    compiler's windowed runner bumps them once per straight-line run.
+    {!Machine.counts} reads them out with the machine's other counts.
+    See DESIGN.md §4f. *)
 
 type t = {
   mutable ticks : int;
@@ -16,21 +14,10 @@ type t = {
   mutable exceptions : int;
   mutable idle : int;
   mutable resets : int;
-  mutable flush_fn : t -> unit;
 }
 
 val make : unit -> t
-(** All-zero counters with a no-op flush sink. *)
+(** All-zero counters. *)
 
 val note : t -> Cpu.event -> unit
 (** Count one step event. *)
-
-val add : t -> t -> unit
-(** [add t c] merges the counts of [c] into [t] (the run loops
-    accumulate into a local record and merge once per call). *)
-
-val set_flush : t -> (t -> unit) -> unit
-(** Register the sink invoked by {!flush}.  The sink owns zeroing the
-    fields after publishing them. *)
-
-val flush : t -> unit

@@ -541,103 +541,22 @@ let restore t snapshot =
 let capture_node t i = Ssx.Snapshot.capture t.nodes.(i).machine
 let restore_node t i snap = Ssx.Snapshot.restore snap t.nodes.(i).machine
 
-let observe ?(prefix = "net") ?per_link (t : t) =
-  let open Ssos_obs in
-  (* Per-link/per-NIC gauges are invaluable on a handful of nodes and a
-     registry bomb at n=1024 (five gauges per link, four per NIC —
-     thousands of entries for one cluster), so above 64 nodes the
-     default flips to topology aggregates. *)
-  let per_link = match per_link with Some b -> b | None -> size t <= 64 in
-  Obs.sample (prefix ^ ".cluster.steps") (fun () -> float_of_int t.step_count);
-  Obs.sample (prefix ^ ".cluster.nodes") (fun () -> float_of_int (size t));
-  (* Daemon telemetry is O(1) entries and registered in both modes, so
-     adversarial campaigns stay observable at any cluster size. *)
-  (match t.policy with
-  | Daemon d ->
-    let dname = d.Ssx_stab.Adversary.name in
-    Obs.sample
-      (Printf.sprintf "%s.daemon{%s}.skipped-slots" prefix dname)
-      (fun () -> float_of_int t.skipped_slots);
-    Obs.sample
-      (Printf.sprintf "%s.daemon{%s}.stateful" prefix dname)
-      (fun () -> if d.Ssx_stab.Adversary.stateful then 1. else 0.)
-  | Round_robin | Fair_random -> ());
-  if per_link then begin
-    Array.iter
+let counts (t : t) =
+  (("net.cluster.steps", t.step_count)
+   :: (match t.policy with
+      | Daemon d ->
+        Ssx.Counts.label d.Ssx_stab.Adversary.name
+          [ ("net.daemon.skipped-slots", t.skipped_slots) ]
+      | Round_robin | Fair_random -> []))
+  @ List.concat_map
       (fun link ->
-        let name stat =
-          Printf.sprintf "%s.link{%d->%d}.%s" prefix (Link.src link)
-            (Link.dst link) stat
-        in
-        let stat n read =
-          Obs.sample (name n) (fun () -> float_of_int (read link))
-        in
-        stat "sent" Link.sent;
-        stat "delivered" Link.delivered;
-        stat "dropped" Link.dropped;
-        stat "corrupted" Link.corrupted;
-        stat "in-flight" Link.in_flight)
-      t.links;
-    Array.iteri
-      (fun i node ->
-        let name stat = Printf.sprintf "%s.nic{id=%d}.%s" prefix i stat in
-        let stat n read =
-          Obs.sample (name n) (fun () ->
-              float_of_int (read (Nic.stats node.nic)))
-        in
-        stat "tx-words" (fun s -> s.Nic.tx_words);
-        stat "rx-delivered" (fun s -> s.Nic.rx_delivered);
-        stat "rx-dropped" (fun s -> s.Nic.rx_dropped);
-        stat "rx-read" (fun s -> s.Nic.rx_read))
+        Ssx.Counts.label
+          (Printf.sprintf "%d->%d" (Link.src link) (Link.dst link))
+          (Link.counts link))
+      (Array.to_list t.links)
+  @ Ssx.Counts.indexed string_of_int
+      (fun node -> Nic.counts ~family:"net.nic" node.nic)
       t.nodes
-  end
-  else begin
-    (* Aggregates stay O(1) registry entries no matter the topology;
-       the closures walk the link array only at snapshot time, so the
-       running cluster never pays for them. *)
-    Obs.sample (prefix ^ ".links.count") (fun () ->
-        float_of_int (Array.length t.links));
-    let total name read =
-      Obs.sample (prefix ^ ".links." ^ name) (fun () ->
-          float_of_int (Array.fold_left (fun acc l -> acc + read l) 0 t.links))
-    in
-    total "sent" Link.sent;
-    total "delivered" Link.delivered;
-    total "dropped" Link.dropped;
-    total "corrupted" Link.corrupted;
-    total "in-flight" Link.in_flight;
-    (* The shape of loss across links, without naming the links: a
-       distribution snapshot (quantiles of per-link drop counts).  One
-       hot link in a healthy mesh shows up as max >> p99. *)
-    let drops_at q () =
-      let nlinks = Array.length t.links in
-      if nlinks = 0 then 0.
-      else begin
-        let drops = Array.map Link.dropped t.links in
-        Array.sort compare drops;
-        let idx =
-          min (nlinks - 1)
-            (int_of_float ((q *. float_of_int (nlinks - 1)) +. 0.5))
-        in
-        float_of_int drops.(idx)
-      end
-    in
-    Obs.sample (prefix ^ ".links.drops.p50") (drops_at 0.5);
-    Obs.sample (prefix ^ ".links.drops.p90") (drops_at 0.9);
-    Obs.sample (prefix ^ ".links.drops.p99") (drops_at 0.99);
-    Obs.sample (prefix ^ ".links.drops.max") (drops_at 1.0);
-    let nic_total name read =
-      Obs.sample (prefix ^ ".nics." ^ name) (fun () ->
-          float_of_int
-            (Array.fold_left
-               (fun acc node -> acc + read (Nic.stats node.nic))
-               0 t.nodes))
-    in
-    nic_total "tx-words" (fun s -> s.Nic.tx_words);
-    nic_total "rx-delivered" (fun s -> s.Nic.rx_delivered);
-    nic_total "rx-dropped" (fun s -> s.Nic.rx_dropped);
-    nic_total "rx-read" (fun s -> s.Nic.rx_read)
-  end
 
 let digest t =
   let buffer = Buffer.create 256 in

@@ -208,21 +208,13 @@ val restore : t -> snapshot -> unit
 val capture_node : t -> int -> Ssx.Snapshot.t
 val restore_node : t -> int -> Ssx.Snapshot.t -> unit
 
-val observe : ?prefix:string -> ?per_link:bool -> t -> unit
-(** Register sampled observability gauges for the whole cluster under
-    [<prefix>.…] (default ["net"]): step/node counts, plus either
-
-    - {e per-link mode} ([?per_link:true], the default up to 64 nodes):
-      [link{src->dst}.sent/delivered/dropped/corrupted/in-flight] and
-      [nic{id=i}.tx-words/rx-delivered/rx-dropped/rx-read] per node; or
-    - {e aggregate mode} (the default above 64 nodes): topology totals
-      [links.{count,sent,delivered,dropped,corrupted,in-flight}], the
-      drop distribution across links [links.drops.{p50,p90,p99,max}],
-      and NIC totals [nics.*] — O(1) registry entries at any scale.
-
-    Sampling closures are read only at {!Ssos_obs.Obs.snapshot} time,
-    so observing a cluster costs nothing while it runs and never
-    perturbs its deterministic execution. *)
+val counts : t -> Ssx.Counts.t
+(** The cluster's own counts: [net.cluster.steps], each link's
+    ({!Link.counts}, labelled [src->dst]), each node NIC's
+    ({!Nic.counts} as [net.nic], labelled with the node index), and a
+    daemon's [net.daemon.skipped-slots] (labelled with its name).  The
+    node machines belong to the systems built on them, which count
+    them. *)
 
 val digest : t -> string
 (** Hash of every node's {!Ssx.Snapshot.digest} plus link occupancy and

@@ -46,6 +46,10 @@ let dropped t = t.dropped
 let delivered t = t.delivered
 let corrupted t = t.corrupted
 
+let counts t =
+  [ ("net.link.sent", t.sent); ("net.link.delivered", t.delivered);
+    ("net.link.dropped", t.dropped); ("net.link.corrupted", t.corrupted) ]
+
 (* Probability draws are skipped entirely at probability zero, so a
    benign link consumes no randomness and its behaviour is independent
    of the RNG stream. *)

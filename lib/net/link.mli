@@ -75,6 +75,9 @@ val corrupted : t -> int
 (** Words that had a byte garbled in flight (they still count as
     delivered when they arrive). *)
 
+val counts : t -> Ssx.Counts.t
+(** [net.link.sent], [.delivered], [.dropped] and [.corrupted]. *)
+
 val capture : t -> unit -> unit
 (** Record the link's full state — queue, FIFO clamp, fault-model
     fields, RNG — and return a thunk restoring exactly that state

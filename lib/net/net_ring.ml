@@ -96,15 +96,11 @@ type t = {
 }
 
 let build ?(n = 4) ?policy ?ticks_per_slot ?latency ?edges ?watchdog_period
-    ?capacity ?faults ?jit ?obs ~seed () =
+    ?capacity ?faults ?jit ~seed () =
   if n < 2 then invalid_arg "Net_ring.build: need at least two nodes";
-  let obs =
-    match obs with Some v -> v | None -> Ssos_obs.Obs.enabled ()
-  in
   let systems =
     Array.init n (fun index ->
-        Ssos.Sched.build ~n:1 ?watchdog_period ?jit ~obs
-          ~obs_label:(Printf.sprintf "node%d" index)
+        Ssos.Sched.build ~n:1 ?watchdog_period ?jit
           ~processes:[| ring_process ~bottom:(index = 0) ~index |] ())
   in
   let nodes =
@@ -125,8 +121,11 @@ let build ?(n = 4) ?policy ?ticks_per_slot ?latency ?edges ?watchdog_period
     match edges with Some e -> e | None -> Cluster.ring_edges ~n
   in
   Cluster.connect_many ?faults cluster edges;
-  if obs then Cluster.observe cluster;
   { cluster; systems; n }
+
+let counts t =
+  Ssx.Counts.indexed (Printf.sprintf "node%d") Ssos.Sched.counts t.systems
+  @ Cluster.counts t.cluster
 
 let node_memory t i = Ssx.Machine.memory (Cluster.machine t.cluster i)
 let states t = Array.init t.n (fun i -> Ssx.Memory.read_word (node_memory t i) self_addr)

@@ -47,7 +47,6 @@ val build :
   ?capacity:int ->
   ?faults:(src:int -> dst:int -> Link.fault_model) ->
   ?jit:bool ->
-  ?obs:bool ->
   seed:int64 ->
   unit ->
   t
@@ -60,11 +59,11 @@ val build :
     above 1 give the stepper its cross-shard lookahead.  [edges] replaces
     the ring topology with an arbitrary edge list (the guests still run
     the ring protocol — useful for differential and scale tests where
-    only deterministic traffic matters, not convergence).
+    only deterministic traffic matters, not convergence). *)
 
-    [obs] (default {!Ssos_obs.Obs.enabled}) instruments every node's
-    machine (labelled [node<i>]) and registers the cluster's link/NIC
-    gauges via {!Cluster.observe}. *)
+val counts : t -> Ssx.Counts.t
+(** Every node system's counts ({!Ssos.Sched.counts}, labelled
+    [node<i>]) and the cluster's ({!Cluster.counts}). *)
 
 val states : t -> int array
 (** True counters, node order. *)

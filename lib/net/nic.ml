@@ -53,11 +53,11 @@ let deliver t word =
     true
   end
 
-let observe ?label (t : t) =
-  Ssos_obs.Device_obs.nic ?label
-    ~rx_hwm:(fun () -> t.rx_hwm)
-    ~rx_dropped:(fun () -> t.rx_dropped)
-    ()
+let counts ~family (t : t) =
+  [ (family ^ ".tx-words", t.tx_words);
+    (family ^ ".rx-delivered", t.rx_delivered);
+    (family ^ ".rx-dropped", t.rx_dropped);
+    (family ^ ".rx-read", t.rx_read) ]
 
 let drain_tx t =
   let rec pop acc =

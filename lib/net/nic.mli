@@ -61,10 +61,8 @@ val pending_rx : t -> int
 val pending_tx : t -> int
 val stats : t -> stats
 
-val observe : ?label:string -> t -> unit
-(** Register this instance's RX high-water mark and drop counter as
-    sampled gauges via {!Ssos_obs.Device_obs.nic}
-    ([device.nic{id=<label>}.rx-hwm] / [.rx-dropped]) — the
-    backpressure view of a NIC that {!Cluster.observe} does not cover
-    (e.g. the client-facing NICs of an RSM service).  Snapshot
-    restores roll the high-water mark back with the queues. *)
+val counts : family:string -> t -> Ssx.Counts.t
+(** [tx-words], [rx-delivered], [rx-dropped] and [rx-read] from
+    {!stats}, named [<family>.<count>]: a cluster's NICs count as
+    [net.nic], a replica's client NIC as [device.nic].  (The high-water
+    mark is a maximum, not a count: read it from {!stats}.) *)

@@ -31,7 +31,6 @@ type histogram = {
 type metric =
   | M_counter of counter
   | M_gauge of gauge
-  | M_sampled of (unit -> float)
   | M_histogram of histogram
 
 type registered = { help : string; metric : metric }
@@ -67,9 +66,8 @@ let gauge ?(help = "") name =
 let set g v = g.g <- v
 let set_int g v = g.g <- float_of_int v
 
-let sample ?(help = "") name read =
-  with_lock (fun () ->
-      Hashtbl.replace table name { help; metric = M_sampled read })
+let publish counts =
+  if enabled () then List.iter (fun (name, n) -> incr ~by:n (counter name)) counts
 
 let default_buckets =
   (* 1-2-5 decades, 1e2 .. 1e9. *)
@@ -175,7 +173,6 @@ let snapshot () =
               match metric with
               | M_counter c -> Counter (Atomic.get c.value)
               | M_gauge g -> Gauge g.g
-              | M_sampled read -> Gauge (read ())
               | M_histogram h ->
                 Histogram
                   { buckets = Array.copy h.buckets;

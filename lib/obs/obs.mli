@@ -1,16 +1,20 @@
 (** Unified observability: one flat metric registry for the whole
     reproduction.
 
-    Every subsystem — machine, devices, fault injector, campaign
-    runner, cluster, fuzzer, CLI, bench — emits through this module
-    instead of hand-rolling private counters.  Three metric kinds live
-    in a single process-wide registry:
+    Counting is not done here.  Every count is a plain field of its
+    owner, always on — a machine's tick counters, a watchdog's bites, a
+    link's traffic — and each owner reads its counts out on demand
+    ({!Ssx.Counts}).  The owner of a run publishes them once, when the
+    run ends, with {!publish}: a campaign ({!Ssos_experiments.Runner})
+    the sum of its trials' deltas, the serve engine its service at
+    wind-down, a CLI command the systems it drove.  So a dump is a
+    function of the run, whatever the job or shard count.
+
+    The registry holds three metric kinds:
 
     - {e counters}: monotonically increasing integers ([Atomic]-backed,
       so worker domains of a campaign pool may share one);
-    - {e gauges}: last-value floats, either pushed ({!set}) or
-      {e sampled} — registered once with a closure that is only read at
-      snapshot time, which makes instrumenting a hot structure free;
+    - {e gauges}: last-value floats, pushed with {!set};
     - {e histograms}: fixed upper-bound buckets with exact
       count/sum/min/max side-cars (so a summary rebuilt from a
       histogram loses nothing).
@@ -20,12 +24,16 @@
     format feeds both sinks: an aligned pretty table ({!pp_table}) and
     JSON lines ({!to_json_lines}).
 
-    Instrumentation is run-time toggleable: the global {!enabled}
-    switch defaults from the [SSOS_OBS] environment variable and is
-    raised by the CLI's [--metrics] flag.  Builders take an [?obs]
-    parameter defaulting to {!enabled}; when it resolves false they
-    attach no hooks at all, so the disabled-mode execution path is the
-    uninstrumented one (see DESIGN.md §4f for the cost argument). *)
+    A count whose name ends in [{host}] depends on the host rather
+    than on the run: how trials fell to pool workers, and what each
+    worker's block table had already compiled.  Every other count a run
+    publishes is identical across job and shard counts (span timings
+    are the host's by nature).
+
+    The global {!enabled} switch defaults from the [SSOS_OBS]
+    environment variable and is raised by the CLI's [--metrics] flag.
+    Only publishers read it; switched off, nothing is published and no
+    run pays more than its always-on counts (DESIGN.md §4f). *)
 
 val enabled : unit -> bool
 (** The global switch.  Initially true iff [SSOS_OBS] is set to
@@ -45,6 +53,11 @@ val counter : ?help:string -> string -> counter
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
+val publish : (string * int) list -> unit
+(** [publish counts] adds each count to the counter of its name — how
+    the owner of a run hands over what it counted ({!Ssx.Counts.t}).  A
+    no-op when not {!enabled}. *)
+
 (** {1 Gauges} *)
 
 type gauge
@@ -52,11 +65,6 @@ type gauge
 val gauge : ?help:string -> string -> gauge
 val set : gauge -> float -> unit
 val set_int : gauge -> int -> unit
-
-val sample : ?help:string -> string -> (unit -> float) -> unit
-(** [sample name read] registers a sampled gauge: [read] is invoked at
-    {!snapshot} time only.  Re-registering a name replaces the closure,
-    so the gauge follows the most recently instrumented instance. *)
 
 (** {1 Histograms} *)
 
@@ -120,8 +128,7 @@ type value =
 type row = { name : string; help : string; value : value }
 
 type snapshot = { rows : row list; recent_events : event list }
-(** Rows are sorted by name; sampled gauges are read at snapshot
-    time. *)
+(** Rows are sorted by name. *)
 
 val snapshot : unit -> snapshot
 

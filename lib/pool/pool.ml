@@ -45,17 +45,17 @@ let run_with ?(oversubscribe = false) ?jobs ~init n f =
   if n <= 0 then [||]
   else begin
     let jobs = resolve_jobs ~oversubscribe jobs n in
-    (* Per-worker throughput counters ([pool.worker{id=k}.tasks]) are
-       registered only when observability is on; they count completed
-       tasks per domain, which is the one campaign quantity that *does*
-       legitimately vary with the interleaving. *)
+    (* Per-worker throughput counters are registered only when
+       observability is on.  They count completed tasks per domain, a
+       quantity of the host, not of the run: it varies with the
+       interleaving, so its rows carry the [{host}] mark. *)
     let task_counters =
       if Ssos_obs.Obs.enabled () then begin
-        Ssos_obs.Obs.set_int (Ssos_obs.Obs.gauge "pool.jobs") jobs;
+        Ssos_obs.Obs.set_int (Ssos_obs.Obs.gauge "pool.jobs{host}") jobs;
         Some
           (Array.init jobs (fun w ->
                Ssos_obs.Obs.counter
-                 (Printf.sprintf "pool.worker{id=%d}.tasks" w)))
+                 (Printf.sprintf "pool.worker{id=%d}.tasks{host}" w)))
       end
       else None
     in

@@ -15,13 +15,11 @@ let default_ticks_per_slot = 600
 let build ?(n = 5) ?policy ?(ticks_per_slot = default_ticks_per_slot) ?latency
     ?edges
     ?watchdog_period ?(capacity = 64) ?(client_capacity = 8) ?faults
-    ?jit ?obs ~seed () =
+    ?jit ~seed () =
   if n < 2 then invalid_arg "Service.build: need at least two nodes";
-  let obs = match obs with Some v -> v | None -> Ssos_obs.Obs.enabled () in
   let systems =
     Array.init n (fun index ->
-        Ssos.Sched.build ~n:1 ?watchdog_period ?jit ~obs
-          ~obs_label:(Printf.sprintf "rsm%d" index)
+        Ssos.Sched.build ~n:1 ?watchdog_period ?jit
           ~processes:[| Replica.process ~bottom:(index = 0) ~index |] ())
   in
   (* The client NIC attaches first so each machine's port map and
@@ -59,14 +57,14 @@ let build ?(n = 5) ?policy ?(ticks_per_slot = default_ticks_per_slot) ?latency
     match edges with Some e -> e | None -> Ssos_net.Cluster.ring_edges ~n
   in
   Ssos_net.Cluster.connect_many ?faults cluster edges;
-  if obs then begin
-    Ssos_net.Cluster.observe cluster;
-    Array.iteri
-      (fun i client ->
-        Ssos_net.Nic.observe ~label:(Printf.sprintf "client%d" i) client)
-      clients
-  end;
   { cluster; systems; clients; n }
+
+let counts t =
+  Ssx.Counts.indexed (Printf.sprintf "rsm%d") Ssos.Sched.counts t.systems
+  @ Ssx.Counts.indexed (Printf.sprintf "client%d")
+      (Ssos_net.Nic.counts ~family:"device.nic")
+      t.clients
+  @ Ssos_net.Cluster.counts t.cluster
 
 let node_memory t i = Ssx.Machine.memory (Ssos_net.Cluster.machine t.cluster i)
 

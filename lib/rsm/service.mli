@@ -31,7 +31,6 @@ val build :
   ?client_capacity:int ->
   ?faults:(src:int -> dst:int -> Ssos_net.Link.fault_model) ->
   ?jit:bool ->
-  ?obs:bool ->
   seed:int64 ->
   unit ->
   t
@@ -48,11 +47,13 @@ val build :
 
     The bounded-tag protocol stabilizes for [n <= Wire.k] (= 8); larger
     clusters still run deterministically for throughput measurement,
-    but the Dijkstra argument needs more counter states than nodes.
+    but the Dijkstra argument needs more counter states than nodes. *)
 
-    [obs] (default {!Ssos_obs.Obs.enabled}) instruments every node
-    (labelled [rsm<i>]), the cluster links, and each client NIC's
-    high-water mark and drop counter (labelled [client<i>]). *)
+val counts : t -> Ssx.Counts.t
+(** Every replica system's counts ({!Ssos.Sched.counts}, labelled
+    [rsm<i>]), each client NIC's ({!Ssos_net.Nic.counts} as
+    [device.nic], labelled [client<i>]) and the cluster's
+    ({!Ssos_net.Cluster.counts}). *)
 
 val states : t -> int array
 (** True replica counters, node order. *)

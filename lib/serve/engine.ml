@@ -358,6 +358,9 @@ let serve ?(nodes = 5) ?(rate = 0.05) ?(fault_rate = 0.0) ?(epoch = 150)
         && !open_incident = None
         && final_legal }
   in
+  (* Wind-down publishes what the service counted, warmup and drain
+     included: every node, link and NIC, each labelled. *)
+  Ssos_obs.Obs.publish (Ssos_rsm.Service.counts service);
   if obs then
     Ssos_obs.Obs.event "serve.summary"
       ~fields:

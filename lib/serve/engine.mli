@@ -144,4 +144,6 @@ val serve :
     When {!Ssos_obs.Obs.enabled} the engine additionally feeds the
     [serve.*] metrics, including the [serve.window-availability],
     [serve.window-p50-steps] and [serve.window-p99-steps] gauges: the
-    trailing window each epoch is judged on. *)
+    trailing window each epoch is judged on; at wind-down it publishes
+    the service's counts ({!Ssos_rsm.Service.counts}), the same for any
+    [shards]/[jobs]. *)

@@ -258,71 +258,29 @@ let test_fairness_audit () =
   check_bool "victim resurrects" true
     (List.exists (fun (step, who) -> step >= 150 && who = 1) crashed)
 
-(* --- daemon gauges in the aggregate registry ------------------------ *)
+(* --- daemon counts among the cluster's ------------------------------ *)
 
-let test_daemon_gauges_in_aggregate_registry () =
-  let module Obs = Ssos_obs.Obs in
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      (* 256 nodes: Cluster.observe defaults to aggregate link mode
-         above 64 nodes.  The daemon gauges must be registered there
-         alongside the link aggregates, with no per-link rows.  The
-         nodes run with the jit on, as every machine does by default:
-         a block table costs a 32 KiB page index plus the pages of
-         code a node has run. *)
-      let daemon = Adversary.crash ~victim:7 ~down_from:0 ~down_for:100 () in
-      let ring =
-        Net_ring.build ~n:256 ~policy:(Cluster.Daemon daemon) ~obs:false
-          ~seed:97L ()
-      in
-      Cluster.observe ~prefix:"adv" ring.Net_ring.cluster;
-      Cluster.run_sharded ring.Net_ring.cluster ~steps:120;
-      let rows = (Obs.snapshot ()).Obs.rows in
-      let gauge name =
-        match
-          List.find_opt (fun (r : Obs.row) -> r.Obs.name = name) rows
-        with
-        | Some { Obs.value = Obs.Gauge v; _ } -> v
-        | Some _ | None -> Alcotest.failf "no gauge %s" name
-      in
-      check_bool "skipped slots surface as a gauge" true
-        (gauge "adv.daemon{crash{7}}.skipped-slots"
-        = float_of_int (Cluster.skipped_slots ring.Net_ring.cluster));
-      check_bool "crash daemon counted some idle slots" true
-        (gauge "adv.daemon{crash{7}}.skipped-slots" > 0.);
-      check_bool "crash daemon is stateless" true
-        (gauge "adv.daemon{crash{7}}.stateful" = 0.);
-      check_bool "aggregate link gauges present" true
-        (gauge "adv.links.count" = 256.);
-      check_bool "no per-link rows in aggregate mode" true
-        (List.for_all
-           (fun (r : Obs.row) ->
-             not
-               (String.length r.Obs.name >= 9
-               && String.sub r.Obs.name 0 9 = "adv.link{"))
-           rows);
-      (* The adaptive daemon flags itself stateful (shards forced
-         sequential) through the same registry. *)
-      let small =
-        Net_ring.build ~n:4
-          ~policy:(Cluster.Daemon (Adversary.adaptive ~k:Net_ring.k ()))
-          ~obs:false ~seed:98L ()
-      in
-      Cluster.observe ~prefix:"adv2" small.Net_ring.cluster;
-      let rows = (Obs.snapshot ()).Obs.rows in
-      match
-        List.find_opt
-          (fun (r : Obs.row) -> r.Obs.name = "adv2.daemon{adaptive}.stateful")
-          rows
-      with
-      | Some { Obs.value = Obs.Gauge v; _ } ->
-        check_bool "adaptive daemon is stateful" true (v = 1.)
-      | Some _ | None -> Alcotest.fail "no adaptive stateful gauge")
+let test_daemon_counts () =
+  (* A crash daemon's idled slots are among the cluster's counts,
+     labelled with the daemon's name; a friendly policy has no such
+     row. *)
+  let daemon = Adversary.crash ~victim:7 ~down_from:0 ~down_for:100 () in
+  let ring =
+    Net_ring.build ~n:8 ~policy:(Cluster.Daemon daemon) ~seed:97L ()
+  in
+  Cluster.run_sharded ring.Net_ring.cluster ~steps:120;
+  let counts = Cluster.counts ring.Net_ring.cluster in
+  (match List.assoc_opt "net.daemon.skipped-slots{id=crash{7}}" counts with
+  | Some n ->
+    check_int "skipped slots counted"
+      (Cluster.skipped_slots ring.Net_ring.cluster) n;
+    check_bool "crash daemon idled some slots" true (n > 0)
+  | None -> Alcotest.fail "no skipped-slots row");
+  let plain = Net_ring.build ~n:4 ~seed:98L () in
+  check_bool "round-robin has no daemon row" true
+    (List.for_all
+       (fun (name, _) -> not (String.starts_with ~prefix:"net.daemon." name))
+       (Cluster.counts plain.Net_ring.cluster))
 
 (* --- the adaptive daemon without a table, above the checker's cap --- *)
 
@@ -434,8 +392,7 @@ let suite =
     case "distribution is exact nearest-rank" test_distribution_nearest_rank;
     case "fairness audit and its pinned expected-failure"
       test_fairness_audit;
-    case "daemon gauges in the aggregate registry"
-      test_daemon_gauges_in_aggregate_registry ]
+    case "daemon counts among the cluster's" test_daemon_counts ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_adaptive_schedules_privileged_targets;
         prop_adaptive_maximizes_its_heuristic;

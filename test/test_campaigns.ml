@@ -214,7 +214,9 @@ let test_campaign_obs_invariance () =
       check_bool "fault counters" true (has "fault.injected");
       check_bool "per-kind fault counters" true (has_prefix "fault.injected{kind=");
       check_bool "pool worker throughput" true (has_prefix "pool.worker{id=");
-      check_bool "machine counters" true (has "machine.ticks"))
+      check_bool "machine counters" true (has "machine.ticks");
+      check_bool "block-table rows are the host's" true
+        (has "machine.jit.blocks-built{host}"))
 
 (* ------------------------------------------------ ring campaign *)
 
@@ -250,7 +252,7 @@ let test_ring_campaign_jobs_differential () =
    in the snapshots; the perturbation corrupts every replica's
    counter, view, store and received-frame tags. *)
 let rsm_build () =
-  Ssos_rsm.Service.build ~n:5 ~obs:false ~latency:3
+  Ssos_rsm.Service.build ~n:5 ~latency:3
     ~faults:(fun ~src:_ ~dst:_ ->
       Ssos_net.Link.lossy ~drop:0.1 ~max_delay:1 ())
     ~seed:31L ()
@@ -286,6 +288,72 @@ let test_rsm_campaign_rebuild_oracle () =
   check_bool "snapshot reset = rebuild" true
     (rsm_summary_run ~trials:3 ~jobs:1 () = reference)
 
+(* ------------------------------------ metrics are a function of the run *)
+
+module Obs = Ssos_obs.Obs
+
+(* The rows [run] publishes, minus the host's (names ending [{host}]:
+   pool task counts and per-worker block tables).  Events are not
+   rows: the bounded ring keeps whichever came last. *)
+let published run =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      run ();
+      List.filter_map
+        (fun (r : Obs.row) ->
+          if String.ends_with ~suffix:"{host}" r.Obs.name then None
+          else Some (r.Obs.name, r.Obs.value))
+        (Obs.snapshot ()).Obs.rows)
+
+let check_rows label expected actual =
+  check_int (label ^ ": row count") (List.length expected) (List.length actual);
+  List.iter2
+    (fun (name, value) (name', value') ->
+      check_bool (Printf.sprintf "%s: %s" label name) true
+        (name = name' && value = value'))
+    expected actual
+
+let check_function_of_run label run =
+  let one = published (run ~jobs:1) in
+  check_bool (label ^ ": machine counts published") true
+    (List.exists (fun (name, _) -> String.starts_with ~prefix:"machine.ticks" name) one);
+  check_rows (label ^ ", jobs 2") one (published (run ~jobs:2));
+  check_rows (label ^ ", jobs 2 again") one (published (run ~jobs:2))
+
+let test_metrics_function_of_run () =
+  (* Heartbeat workers carry labels, as the e2e campaign's do: a label
+     may name a worker's block-table rows, never a simulated one. *)
+  check_function_of_run "heartbeat" (fun ~jobs () ->
+      let worker = Atomic.make 0 in
+      ignore
+        (Ssos_experiments.Runner.heartbeat_campaign
+           ~build:(fun () ->
+             Ssos.Reinstall.build
+               ~obs_label:(Printf.sprintf "w%d" (Atomic.fetch_and_add worker 1))
+               ())
+           ~space:Ssos.System.default_fault_space
+           ~spec:(Ssos.Reinstall.weak_spec ())
+           ~burst:10 ~warmup:10_000 ~horizon:120_000 ~oversubscribe:true ~jobs
+           ~trials:6 ~seed:42L ()));
+  check_function_of_run "sched" (fun ~jobs () -> ignore (sched_summary ~jobs));
+  check_function_of_run "ring" (fun ~jobs () -> ignore (ring_summary ~jobs));
+  check_function_of_run "rsm" (fun ~jobs () ->
+      ignore (rsm_summary_run ~trials:3 ~jobs ()));
+  let serve shards () =
+    ignore
+      (Ssos_serve.Engine.serve ~nodes:5 ~fault_rate:0.004 ~duration:1800
+         ~shards ~jobs:shards ~seed:5L ())
+  in
+  let one = published (serve 1) in
+  check_bool "serve: node counts published" true
+    (List.mem_assoc "machine.ticks{id=rsm0}" one);
+  check_rows "serve, shards 2" one (published (serve 2))
+
 let suite =
   [ case "pool returns results in task order" test_pool_run_in_order;
     case "pool shares per-worker state" test_pool_run_with_shares_state;
@@ -302,4 +370,6 @@ let suite =
       test_ring_campaign_jobs_differential;
     case "rsm campaign: jobs differential" test_rsm_campaign_differential;
     case "rsm campaign: snapshot reset against rebuild oracle"
-      test_rsm_campaign_rebuild_oracle ]
+      test_rsm_campaign_rebuild_oracle;
+    case "metrics are a function of the run: jobs and shards"
+      test_metrics_function_of_run ]

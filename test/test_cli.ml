@@ -84,6 +84,31 @@ let test_metrics_table_dump () =
   check_int "exit 0" 0 code;
   check_bool "table mentions machine.ticks" true (contains out "machine.ticks")
 
+(* A campaign's --metrics rows are a function of the run: the same at
+   --jobs 1 and --jobs 2, once the host's rows (names ending [{host}])
+   and the event ring are set aside.  Workers that each counted their
+   own warmup would differ by one 30,000-tick warmup. *)
+let test_campaign_metrics_jobs_invariant () =
+  let rows jobs =
+    let code, out, _err =
+      run_cli
+        (Printf.sprintf
+           "campaign --trials 40 --burst 40 --seed 3 --metrics=json --jobs %d \
+            reinstall"
+           jobs)
+    in
+    check_int (Printf.sprintf "exit 0 at jobs %d" jobs) 0 code;
+    String.split_on_char '\n' out
+    |> List.filter (fun l ->
+           String.starts_with ~prefix:{|{"name": |} l
+           && not (contains l {|{host}"|}))
+  in
+  let one = rows 1 and two = rows 2 in
+  check_bool "machine.ticks published" true
+    (List.exists (fun l -> contains l {|"name": "machine.ticks"|}) one);
+  check_int "same row count at jobs 2" (List.length one) (List.length two);
+  List.iter2 (fun a b -> Alcotest.(check string) "same row at jobs 2" a b) one two
+
 (* serve: the closed loop completes a full detect/repair cycle and
    reports the SLO verdict in its exit status. *)
 let test_serve_full_cycle () =
@@ -135,6 +160,8 @@ let suite =
     case "unknown experiment id is rejected" test_unknown_experiment_rejected;
     case "--metrics=json dumps a parseable registry" test_metrics_json_dump;
     case "--metrics dumps the pretty table" test_metrics_table_dump;
+    case "campaign --metrics: the same rows at jobs 1 and 2"
+      test_campaign_metrics_jobs_invariant;
     case "serve completes a detect/repair cycle" test_serve_full_cycle;
     case "serve exits non-zero on SLO breach"
       test_serve_slo_breach_exits_nonzero;

@@ -52,8 +52,9 @@ let test_nic_overflow () =
 
 let test_nic_hwm_and_drops () =
   (* The RX high-water mark records the deepest queue occupancy ever
-     reached — not the current depth — and overflow drops are counted;
-     both publish through Device_obs as back-pressure gauges. *)
+     reached — not the current depth — and overflow drops are counted
+     among the NIC's counts (the high-water mark, a maximum, is not
+     one). *)
   let machine, _ =
     Helpers.machine_with "mov dx, 0x31\nin ax, dx\nin ax, dx\nhlt\n"
   in
@@ -70,26 +71,10 @@ let test_nic_hwm_and_drops () =
   let stats = Nic.stats nic in
   check_int "hwm is the deepest occupancy, not the current" 3 stats.Nic.rx_hwm;
   check_int "overflow counted" 1 stats.Nic.rx_dropped;
-  let module Obs = Ssos_obs.Obs in
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      Nic.observe ~label:"t" nic;
-      let rows = (Obs.snapshot ()).Obs.rows in
-      let gauge name =
-        match
-          List.find_opt (fun (r : Obs.row) -> r.Obs.name = name) rows
-        with
-        | Some { Obs.value = Obs.Gauge v; _ } -> v
-        | Some _ | None -> Alcotest.failf "no gauge %s" name
-      in
-      check_bool "rx-hwm gauge" true (gauge "device.nic{id=t}.rx-hwm" = 3.);
-      check_bool "rx-dropped gauge" true
-        (gauge "device.nic{id=t}.rx-dropped" = 1.))
+  check_bool "counts under the given family" true
+    (Nic.counts ~family:"device.nic" nic
+    = [ ("device.nic.tx-words", 0); ("device.nic.rx-delivered", 3);
+        ("device.nic.rx-dropped", 1); ("device.nic.rx-read", 2) ])
 
 let test_nic_empty_rx_reads_zero () =
   let machine, _ =
@@ -330,7 +315,7 @@ let test_cluster_snapshot_reset () =
    node, the counter's word, then the view's.  The same words land in
    the same cells and the rng is left at the same point. *)
 let test_corrupt_draw_order () =
-  let build () = Net_ring.build ~n:5 ~obs:false ~seed:89L () in
+  let build () = Net_ring.build ~n:5 ~seed:89L () in
   let hand = build () and one = build () in
   let hand_rng = Rng.create 0xD1CEL and one_rng = Rng.create 0xD1CEL in
   for i = 0 to hand.Net_ring.n - 1 do
@@ -938,47 +923,38 @@ let test_random_topology_properties () =
     done
   done
 
-let test_observe_aggregate_mode () =
-  let module Obs = Ssos_obs.Obs in
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      let ring = Net_ring.build ~n:4 ~faults:lossy_faults ~obs:false ~seed:85L () in
-      Cluster.observe ~prefix:"agg" ~per_link:false ring.Net_ring.cluster;
-      Cluster.run_sharded ring.Net_ring.cluster ~steps:500;
-      let rows = (Obs.snapshot ()).Obs.rows in
-      let gauge name =
-        match List.find_opt (fun (r : Obs.row) -> r.Obs.name = name) rows with
-        | Some { Obs.value = Obs.Gauge v; _ } -> v
-        | Some _ | None -> Alcotest.failf "no gauge %s" name
-      in
-      check_bool "no per-link entries in aggregate mode" true
-        (List.for_all
-           (fun (r : Obs.row) ->
-             not
-               (String.length r.Obs.name >= 9
-               && String.sub r.Obs.name 0 9 = "agg.link{"))
-           rows);
-      let links = Cluster.links ring.Net_ring.cluster in
-      let sum read =
-        float_of_int (Array.fold_left (fun acc l -> acc + read l) 0 links)
-      in
-      check_bool "total sent" true (gauge "agg.links.sent" = sum Link.sent);
-      check_bool "total dropped" true
-        (gauge "agg.links.dropped" = sum Link.dropped);
-      check_bool "total delivered" true
-        (gauge "agg.links.delivered" = sum Link.delivered);
-      check_bool "link count" true
-        (gauge "agg.links.count" = float_of_int (Array.length links));
-      let drops = Array.map Link.dropped links in
-      Array.sort compare drops;
-      check_bool "drop max" true
-        (gauge "agg.links.drops.max"
-        = float_of_int drops.(Array.length drops - 1)))
+let test_cluster_counts () =
+  (* One labelled row per link count and per node NIC count, summing
+     to the link totals; the cluster counts no node machine (the
+     systems on the nodes do). *)
+  let ring = Net_ring.build ~n:4 ~faults:lossy_faults ~seed:85L () in
+  Cluster.run_sharded ring.Net_ring.cluster ~steps:500;
+  let counts = Cluster.counts ring.Net_ring.cluster in
+  let links = Cluster.links ring.Net_ring.cluster in
+  let total base =
+    List.fold_left
+      (fun acc (name, v) ->
+        if String.starts_with ~prefix:(base ^ "{id=") name then acc + v else acc)
+      0 counts
+  in
+  let sum read = Array.fold_left (fun acc l -> acc + read l) 0 links in
+  check_int "total sent" (sum Link.sent) (total "net.link.sent");
+  check_int "total dropped" (sum Link.dropped) (total "net.link.dropped");
+  check_int "total delivered" (sum Link.delivered) (total "net.link.delivered");
+  check_bool "the lossy links dropped something" true (sum Link.dropped > 0);
+  check_int "one row per link count and NIC count, plus the steps"
+    ((4 * Array.length links) + (4 * 4) + 1)
+    (List.length counts);
+  check_bool "no machine rows" true
+    (List.for_all
+       (fun (name, _) -> not (String.starts_with ~prefix:"machine." name))
+       counts);
+  check_bool "steps" true (List.assoc "net.cluster.steps" counts = 500);
+  check_bool "link rows are labelled src->dst" true
+    (List.mem_assoc
+       (Printf.sprintf "net.link.sent{id=%d->%d}" (Link.src links.(0))
+          (Link.dst links.(0)))
+       counts)
 
 (* A T14/T15-style campaign in miniature: lossy links, joint
    corruption plus a message-fault phase that mutates the link fault
@@ -1023,17 +999,12 @@ let test_campaign_rebuild_oracle () =
 
 let test_campaign_obs_invariance () =
   (* Cluster digests and campaign summaries are bit-identical with
-     metrics on or off: link counters feed sampled gauges only, and
-     nothing on the send/deliver path consumes extra randomness. *)
+     metrics on or off: counting is always on, and nothing on the
+     send/deliver path consumes extra randomness. *)
   let module Obs = Ssos_obs.Obs in
   Obs.reset ();
   Obs.set_enabled false;
   let off = campaign ~jobs:2 () in
-  let digest_off =
-    let ring = Net_ring.build ~n:3 ~seed:61L ~obs:false () in
-    Cluster.run_sharded ring.Net_ring.cluster ~steps:400;
-    Cluster.digest ring.Net_ring.cluster
-  in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
@@ -1043,30 +1014,30 @@ let test_campaign_obs_invariance () =
       let on_ = campaign ~jobs:2 () in
       check_bool "summary identical with metrics on" true (off = on_);
       Obs.reset ();
-      let ring = Net_ring.build ~n:3 ~seed:61L ~obs:true () in
+      let ring = Net_ring.build ~n:3 ~seed:61L () in
       Cluster.run_sharded ring.Net_ring.cluster ~steps:400;
-      check_bool "digest identical with metrics on" true
-        (digest_off = Cluster.digest ring.Net_ring.cluster);
-      (* The instrumented build registered per-link and per-NIC gauges,
-         and their values agree with the link counters. *)
+      Obs.publish (Net_ring.counts ring);
+      (* The published per-link rows agree with the link counters. *)
       let rows = (Obs.snapshot ()).Obs.rows in
-      let gauge name =
+      let counter name =
         match
           List.find_opt (fun (r : Obs.row) -> r.Obs.name = name) rows
         with
-        | Some { Obs.value = Obs.Gauge v; _ } -> v
-        | Some _ | None -> Alcotest.failf "no gauge %s" name
+        | Some { Obs.value = Obs.Counter v; _ } -> v
+        | Some _ | None -> Alcotest.failf "no counter %s" name
       in
       let link = (Cluster.links ring.Net_ring.cluster).(0) in
-      let prefix =
-        Printf.sprintf "net.link{%d->%d}" (Link.src link) (Link.dst link)
+      let row stat =
+        Printf.sprintf "net.link.%s{id=%d->%d}" stat (Link.src link) (Link.dst link)
       in
-      check_bool "sent gauge tracks the link" true
-        (gauge (prefix ^ ".sent") = float_of_int (Link.sent link));
-      check_bool "delivered gauge tracks the link" true
-        (gauge (prefix ^ ".delivered") = float_of_int (Link.delivered link));
-      check_bool "cluster step gauge" true
-        (gauge "net.cluster.steps" = 400.);
+      check_int "sent row tracks the link" (Link.sent link) (counter (row "sent"));
+      check_int "delivered row tracks the link" (Link.delivered link)
+        (counter (row "delivered"));
+      check_int "cluster step row" 400 (counter "net.cluster.steps");
+      check_int "node machines are labelled"
+        (Ssx.Machine.tick_counters (Cluster.machine ring.Net_ring.cluster 1))
+          .Ssx.Tick_counters.ticks
+        (counter "machine.ticks{id=node1}");
       (* Word conservation: everything submitted was delivered, dropped
          or is still in flight (corruption garbles, it never consumes). *)
       Array.iter
@@ -1078,7 +1049,7 @@ let test_campaign_obs_invariance () =
 let suite =
   [ case "nic: guest port I/O" test_nic_guest_io;
     case "nic: bounded RX queue drops and counts" test_nic_overflow;
-    case "nic: RX high-water mark and drop gauges" test_nic_hwm_and_drops;
+    case "nic: RX high-water mark and drop counts" test_nic_hwm_and_drops;
     case "nic: empty RX reads zero" test_nic_empty_rx_reads_zero;
     case "nic: RX interrupt" test_nic_rx_interrupt;
     case "nic: snapshot round-trip" test_nic_snapshot_roundtrip;
@@ -1110,10 +1081,11 @@ let suite =
     case "topology: random graph degree and connectivity" test_random_topology;
     case "topology: random graphs are simple and connected across seeds"
       test_random_topology_properties;
-    case "observe: aggregate mode totals" test_observe_aggregate_mode;
+    case "cluster counts: labelled rows sum to the link totals"
+      test_cluster_counts;
     case "campaign: bit-identical across jobs" test_campaign_jobs_invariance;
     case "campaign: snapshot reset against rebuild oracle"
       test_campaign_rebuild_oracle;
-    case "campaign and digest: bit-identical with metrics on"
+    case "campaign: bit-identical with metrics on; rows published"
       test_campaign_obs_invariance ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_stepper_matches_oracle ]

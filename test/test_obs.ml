@@ -1,7 +1,7 @@
 (* The observability layer (lib/obs): registry semantics, the enabled
-   switch, machine instrumentation end-to-end, and the Ssx.Digest
-   regression pins (the dedup must reproduce the historical inline
-   FNV-1a copies byte for byte). *)
+   switch, a system's always-on counts published end-to-end, and the
+   Ssx.Digest regression pins (the dedup must reproduce the historical
+   inline FNV-1a copies byte for byte). *)
 
 let case = Helpers.case
 let check_int = Helpers.check_int
@@ -53,11 +53,6 @@ let test_counters_and_gauges () =
       Obs.set g 2.5;
       Obs.set_int (Obs.gauge "test.depth") 7;
       check_bool "gauge keeps last value" true (gauge_row "test.depth" = 7.0);
-      let live = ref 10 in
-      Obs.sample "test.live" (fun () -> float_of_int !live);
-      live := 42;
-      check_bool "sampled gauge reads at snapshot time" true
-        (gauge_row "test.live" = 42.0);
       check_int "counter row" 6 (counter_row "test.hits"))
 
 let test_snapshot_rows_sorted () =
@@ -259,34 +254,59 @@ let test_pp_table_smoke () =
       check_bool "mentions the histogram" true
         (Astring_contains.contains text "t.hist"))
 
-(* --------------------------------------- machine instrumentation *)
+(* ------------------------------------------------ published counts *)
 
-let test_machine_instrumentation () =
+let test_system_counts_published () =
   with_obs (fun () ->
-      let system = Ssos.Reinstall.build ~obs:true () in
+      let system = Ssos.Reinstall.build () in
       Ssos.System.run system ~ticks:20_000;
+      Obs.publish (Ssos.System.counts system);
       let machine = system.Ssos.System.machine in
       check_int "machine.ticks counts every tick"
         (Ssx.Machine.ticks machine)
         (counter_row "machine.ticks");
       check_bool "instructions executed" true (counter_row "machine.executed" > 0);
-      check_bool "steps gauge tracks the machine" true
-        (gauge_row "machine.steps" = float_of_int (Ssx.Machine.ticks machine));
-      check_bool "memory writes counted" true
-        (gauge_row "machine.mem.writes"
-        = float_of_int (Ssx.Memory.write_count (Ssx.Machine.memory machine)));
-      check_bool "watchdog gauge present" true
+      check_int "memory writes counted"
+        (Ssx.Memory.write_count (Ssx.Machine.memory machine))
+        (counter_row "machine.mem.writes");
+      check_bool "the block table counted" true
+        (counter_row "machine.jit.blocks-built" > 0);
+      check_int "heartbeats counted"
+        (Ssx_devices.Heartbeat.count system.Ssos.System.heartbeat)
+        (counter_row "device.heartbeat.count");
+      check_bool "watchdog bites present" true
         (find_row "device.watchdog.bites" <> None);
-      check_bool "nvstore gauge present" true
-        (gauge_row "device.nvstore.images" >= 1.))
+      (* Publishing again adds: a counter sums the runs handed to it. *)
+      Obs.publish (Ssos.System.counts system);
+      check_int "a second publish adds"
+        (2 * Ssx.Machine.ticks machine)
+        (counter_row "machine.ticks"))
 
-let test_disabled_build_attaches_nothing () =
+let test_disabled_publishes_nothing () =
   Obs.reset ();
   Obs.set_enabled false;
-  let system = Ssos.Reinstall.build ~obs:false () in
+  let system = Ssos.Reinstall.build () in
   Ssos.System.run system ~ticks:5_000;
+  Obs.publish (Ssos.System.counts system);
   check_int "registry stays empty" 0 (List.length (Obs.snapshot ()).Obs.rows);
+  (* Counting itself is always on, on both run paths. *)
+  let counted =
+    (Ssx.Machine.tick_counters system.Ssos.System.machine).Ssx.Tick_counters.ticks
+  in
+  check_int "ticks counted with metrics off" 5_000 counted;
+  ignore (Ssx.Machine.tick system.Ssos.System.machine);
+  check_int "the per-tick path counts too" 5_001
+    (Ssx.Machine.tick_counters system.Ssos.System.machine).Ssx.Tick_counters.ticks;
   Obs.reset ()
+
+let test_counts_label () =
+  let counts = [ ("machine.ticks", 3); ("device.heartbeat.count{id=0}", 2) ] in
+  check_bool "label appends, and nests inside an existing label" true
+    (Ssx.Counts.label "rsm1" counts
+    = [ ("machine.ticks{id=rsm1}", 3); ("device.heartbeat.count{id=rsm1/0}", 2) ]);
+  check_bool "a label with braces of its own" true
+    (Ssx.Counts.label "crash{7}" [ ("net.daemon.skipped-slots", 4) ]
+    = [ ("net.daemon.skipped-slots{id=crash{7}}", 4) ])
 
 (* --------------------------------------------- digest regressions *)
 
@@ -356,7 +376,7 @@ let test_snapshot_digest_still_discriminates () =
     = Ssx.Snapshot.digest (Ssx.Snapshot.capture b))
 
 let suite =
-  [ case "counters, gauges and sampled gauges" test_counters_and_gauges;
+  [ case "counters and gauges" test_counters_and_gauges;
     case "snapshot rows are sorted" test_snapshot_rows_sorted;
     case "histogram buckets and side-cars" test_histogram;
     case "default buckets are sane" test_default_buckets_ascending;
@@ -368,9 +388,11 @@ let suite =
       test_timed_records_span;
     case "JSON lines sink" test_json_lines_shape;
     case "pretty table sink" test_pp_table_smoke;
-    case "machine and device instrumentation end-to-end"
-      test_machine_instrumentation;
-    case "disabled build attaches no hooks" test_disabled_build_attaches_nothing;
+    case "a system's counts, published end-to-end"
+      test_system_counts_published;
+    case "disabled switch publishes nothing; counting stays on"
+      test_disabled_publishes_nothing;
+    case "count labels nest and keep base names" test_counts_label;
     case "Digest matches the inline cluster form"
       test_digest_matches_inline_string_form;
     case "Digest matches the inline snapshot form"

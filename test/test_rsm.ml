@@ -22,7 +22,7 @@ module Scan = Test_net.Scan
 (* --- clean traffic --------------------------------------------------- *)
 
 let test_clean_traffic_linearizes () =
-  let service = Service.build ~n:5 ~obs:false ~seed:3L () in
+  let service = Service.build ~n:5 ~seed:3L () in
   Cluster.run_sharded service.Service.cluster ~steps:400;
   check_bool "warmed-up service is legitimate" true (Service.legitimate service);
   let w = Workload.open_loop ~rate:0.08 ~slots:80 ~seed:5L service in
@@ -44,7 +44,7 @@ let test_converges_from_arbitrary_state () =
   List.iter
     (fun seed ->
       let service =
-        Service.build ~n:5 ~obs:false ~seed:(Rng.derive seed 1) ()
+        Service.build ~n:5 ~seed:(Rng.derive seed 1) ()
       in
       Cluster.run_sharded service.Service.cluster ~steps:400;
       let rng = Rng.create (Rng.derive seed 2) in
@@ -80,7 +80,7 @@ let test_judge_rejects_stale_read () =
 (* --- snapshot round-trip mid-protocol --------------------------------- *)
 
 let test_snapshot_roundtrip_mid_protocol () =
-  let service = Service.build ~n:5 ~obs:false ~seed:11L () in
+  let service = Service.build ~n:5 ~seed:11L () in
   Cluster.run_sharded service.Service.cluster ~steps:400;
   (* Park the protocol mid-flight: dense traffic, stopped at an
      arbitrary step, with frames and responses still in the queues. *)
@@ -108,7 +108,7 @@ let test_snapshot_roundtrip_mid_protocol () =
    same words land in the same cells and the rng is left at the same
    point. *)
 let test_corrupt_draw_order () =
-  let build () = Service.build ~n:4 ~obs:false ~seed:17L () in
+  let build () = Service.build ~n:4 ~seed:17L () in
   let hand = build () and one = build () in
   let hand_rng = Rng.create 0xC0DEL and one_rng = Rng.create 0xC0DEL in
   for i = 0 to hand.Service.n - 1 do
@@ -143,7 +143,7 @@ let test_corrupt_draw_order () =
 let oracle_ticks = 600
 
 let oracle_build () =
-  Service.build ~n:5 ~obs:false ~policy:Cluster.Fair_random
+  Service.build ~n:5 ~policy:Cluster.Fair_random
     ~ticks_per_slot:oracle_ticks ~latency:2
     ~faults:(fun ~src:_ ~dst:_ -> Ssos_net.Link.lossy ~drop:0.15 ~max_delay:2 ())
     ~seed:92L ()
@@ -229,7 +229,7 @@ let test_recovers_and_serves_under_faults () =
   List.iter
     (fun (seed, drop) ->
       let build () =
-        Service.build ~n:5 ~obs:false
+        Service.build ~n:5
           ~faults:(fun ~src:_ ~dst:_ ->
             Ssos_net.Link.lossy ~drop ~max_delay:1 ())
           ~seed:(Rng.derive seed 7) ()
