@@ -1,21 +1,23 @@
-(* Benchmark harness: regenerates every evaluation table (T1-T10, see
-   DESIGN.md and EXPERIMENTS.md), reports deterministic guest-cycle
-   costs, times the clean ticks and campaign trials of the §3 and §4
-   designs, runs host-side micro-benchmarks of the simulator and
-   tooling with Bechamel, and times the parallel snapshot-reset
+(* Benchmark harness: regenerates every evaluation table (T1-T20, see
+   DESIGN.md and EXPERIMENTS.md) on a full run, reports deterministic
+   guest-cycle costs, times the clean ticks and campaign trials of the
+   §3 and §4 designs, runs host-side micro-benchmarks of the simulator
+   and tooling with Bechamel, and times the parallel snapshot-reset
    campaign engine (jobs pairs, and the per-trial prefix it saves over
    a rebuild).
 
    Usage:
-     main.exe            full run; writes BENCH_machine.json,
-                         BENCH_experiments.json, BENCH_net.json,
-                         BENCH_rsm.json, BENCH_fuzz.json,
-                         BENCH_adversary.json and BENCH_obs.json to
-                         the current directory
-     main.exe --smoke    quick harness exercise: tables + short machine
-                         and cluster campaign pairs + one short
-                         quota-limited Bechamel pass, no JSON written
-                         (wired to the [@bench-smoke] dune alias) *)
+     main.exe            full run; prints the tables and writes
+                         BENCH_machine.json, BENCH_experiments.json,
+                         BENCH_net.json, BENCH_rsm.json,
+                         BENCH_fuzz.json, BENCH_adversary.json and
+                         BENCH_obs.json to the current directory
+     main.exe --smoke    quick harness exercise: short machine and
+                         cluster campaign pairs + one short
+                         quota-limited Bechamel pass, no tables and no
+                         JSON written (wired to the [@bench-smoke] dune
+                         alias; the tables have their own gate,
+                         [@test/tables/tables]) *)
 
 let smoke = Array.exists (( = ) "--smoke") Sys.argv
 
@@ -209,9 +211,10 @@ let net_bench () =
   let build () = Ssos_net.Net_ring.build ~n:4 ~seed:7L () in
   let warmup = 200 and horizon = 1_500 in
   let run_campaign ~jobs () =
-    Ssos_experiments.Runner.ring_campaign ~build
-      ~perturb:Ssos_net.Net_ring.corrupt
-      ~warmup ~horizon ~jobs ~trials ~seed:2L ()
+    Ssos_experiments.Runner.summarize
+      (Ssos_experiments.Runner.ring_campaign ~build
+         ~perturb:Ssos_net.Net_ring.corrupt
+         ~warmup ~horizon ~jobs ~trials ~seed:2L ())
   in
   let jobs_n = Printf.sprintf "jobs%d" pair_jobs in
   let reset_summary, reset_ns =
@@ -889,7 +892,7 @@ let () =
   Format.printf
     "ssos benchmark harness - reproduction of 'Toward Self-Stabilizing \
      Operating Systems' (Dolev & Yagel)@.@.";
-  run_tables ();
+  if not smoke then run_tables ();
   let campaign_rows = campaign_pair () in
   let campaign_rows = campaign_rows @ storm_split () in
   let net_rows = net_bench () @ net_scale_bench () in

@@ -3,9 +3,66 @@ let summary_cells (s : Runner.summary) =
     Table.cell_opt_float ~decimals:0 s.Runner.mean_recovery;
     (match s.Runner.max_recovery with None -> "-" | Some v -> Table.cell_int v) ]
 
+(* Every repeated trial below runs on the one engine
+   ({!Runner.run_trials}): each worker builds its system and runs the
+   fault-free [warmup] once, captures the machine, and restores that
+   capture before every trial.  [machine] and [counts] are the
+   system's machine and its published counts. *)
+let machine_trials ?jobs ~trials ~build ~machine ~counts ~warmup trial =
+  Runner.run_trials ?jobs ~trials
+    ~warm:(fun () ->
+      let system = build () in
+      Ssx.Machine.run (machine system) ~ticks:warmup;
+      (system, Ssx.Snapshot.capture (machine system)))
+    ~restore:(fun (system, snapshot) ->
+      Ssx.Snapshot.restore snapshot (machine system))
+    ~counts:(fun (system, _) -> counts system)
+    (fun (system, _) i -> trial system i)
+
+let system_trials ?jobs ~trials ~build ~warmup trial =
+  machine_trials ?jobs ~trials ~build
+    ~machine:(fun system -> system.Ssos.System.machine)
+    ~counts:Ssos.System.counts ~warmup trial
+
+let sched_trials ?jobs ~trials ~build ~warmup trial =
+  machine_trials ?jobs ~trials ~build
+    ~machine:(fun sched -> sched.Ssos.Sched.machine)
+    ~counts:Ssos.Sched.counts ~warmup trial
+
+(* The 5.1 scheduler has no watchdog: its counts are the machine's and
+   every process's heartbeat's. *)
+let primitive_trials ?jobs ~trials ~warmup trial =
+  machine_trials ?jobs ~trials
+    ~build:(fun () -> Ssos.Primitive_sched.build ())
+    ~machine:(fun sched -> sched.Ssos.Primitive_sched.machine)
+    ~counts:(fun sched ->
+      Ssx.Machine.counts sched.Ssos.Primitive_sched.machine
+      @ Ssx.Counts.indexed string_of_int Ssx_devices.Heartbeat.counts
+          sched.Ssos.Primitive_sched.heartbeats)
+    ~warmup trial
+
+(* A heartbeat-observed system's trial outcome: its stream judged
+   against [spec] at the end of the trial, recovery counted from
+   [faults_end]. *)
+let heartbeat_outcome ~spec ~faults_end system =
+  let verdict =
+    Ssx_stab.Convergence.judge ~spec
+      ~samples:(Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
+      ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)
+  in
+  { Runner.recovered = Ssx_stab.Convergence.converged verdict;
+    recovery_ticks = Ssx_stab.Convergence.recovery_time ~faults_end verdict }
+
+let apply_faults system faults =
+  List.iter
+    (fun fault ->
+      ignore (Ssx_faults.Fault.apply (Ssos.System.fault_system system) fault))
+    faults
+
 (* ----------------------------------------------------------------- T1 *)
 
-let t1_reinstall_recovery ?(seed = 1L) ?(trials = 30) ?jobs () =
+let t1_reinstall_recovery ?jobs () =
+  let seed = 1L and trials = 30 in
   let build () = Ssos.Reinstall.build () in
   let spec = Ssos.Reinstall.weak_spec () in
   let row label space burst =
@@ -31,7 +88,8 @@ let t1_reinstall_recovery ?(seed = 1L) ?(trials = 30) ?jobs () =
 
 (* ----------------------------------------------------------------- T2 *)
 
-let t2_lemma_bounds ?(seed = 2L) ?(trials = 300) ?jobs () =
+let t2_lemma_bounds ?jobs () =
+  let seed = 2L and trials = 300 in
   let period = Ssos.Layout.default_watchdog_period in
   let nmi_max = Ssos.Layout.default_nmi_counter_max in
   (* Figure 1: 8 set-up instructions, IMAGE_SIZE rep steps, 7 tear-down
@@ -39,8 +97,10 @@ let t2_lemma_bounds ?(seed = 2L) ?(trials = 300) ?jobs () =
   let handler_bound = 8 + Ssos.Layout.os_image_size + 7 + 1 in
   let entry_bound = period + nmi_max + 2 in
   let measurements =
-    Pool.run ?jobs trials (fun i ->
-        let system = Ssos.Reinstall.build () in
+    system_trials ?jobs ~trials
+      ~build:(fun () -> Ssos.Reinstall.build ())
+      ~warmup:0
+      (fun system i ->
         let machine = system.Ssos.System.machine in
         let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
         Ssos.System.run system ~ticks:(Ssx_faults.Rng.int rng period);
@@ -67,8 +127,8 @@ let t2_lemma_bounds ?(seed = 2L) ?(trials = 300) ?jobs () =
         in
         (nmi_time, restart_time))
   in
-  let nmi_times = Array.to_list (Array.map fst measurements) in
-  let restart_times = Array.to_list (Array.map snd measurements) in
+  let nmi_times = List.map fst measurements in
+  let restart_times = List.map snd measurements in
   let stats times =
     let n = List.length times in
     let sum = List.fold_left ( + ) 0 times in
@@ -98,7 +158,8 @@ let t2_lemma_bounds ?(seed = 2L) ?(trials = 300) ?jobs () =
 
 (* ----------------------------------------------------------------- T3 *)
 
-let t3_approach_comparison ?(seed = 3L) ?(trials = 25) ?jobs () =
+let t3_approach_comparison ?jobs () =
+  let seed = 3L and trials = 25 in
   let guest () = Ssos.Guest.task_kernel () in
   let weak = Ssos.Reinstall.weak_spec () in
   let burst = 40 in
@@ -147,7 +208,8 @@ let t3_approach_comparison ?(seed = 3L) ?(trials = 25) ?jobs () =
 
 (* ----------------------------------------------------------------- T4 *)
 
-let t4_period_sweep ?(seed = 4L) ?(trials = 12) ?jobs () =
+let t4_period_sweep ?jobs () =
+  let seed = 4L and trials = 12 in
   let horizon = 1_000_000 in
   let beats_with_period period =
     let system = Ssos.Reinstall.build ~watchdog_period:period () in
@@ -191,7 +253,8 @@ let t4_period_sweep ?(seed = 4L) ?(trials = 12) ?jobs () =
 
 (* ----------------------------------------------------------------- T5 *)
 
-let t5_primitive_fairness ?(seed = 5L) ?(trials = 100) ?jobs () =
+let t5_primitive_fairness ?jobs () =
+  let seed = 5L and trials = 100 in
   (* Clean-run fairness. *)
   let sched = Ssos.Primitive_sched.build () in
   Ssx.Machine.run sched.Ssos.Primitive_sched.machine ~ticks:200_000;
@@ -201,66 +264,61 @@ let t5_primitive_fairness ?(seed = 5L) ?(trials = 100) ?jobs () =
   in
   let min_beats = List.fold_left min max_int beats
   and max_beats = List.fold_left max 0 beats in
-  (* Convergence from arbitrary processor states. *)
+  (* Convergence from arbitrary processor states: recovery is every
+     process having run, in ticks. *)
   let round_bound = 4 * Ssos.Primitive_sched.region_size in
-  let convergences =
-    Pool.run ?jobs trials (fun i ->
-        let sched = Ssos.Primitive_sched.build () in
-        let machine = sched.Ssos.Primitive_sched.machine in
-        let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
-        let regs = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
-        let word () = Ssx_faults.Rng.int rng 0x10000 in
-        List.iter
-          (fun r -> Ssx.Registers.set16 regs r (word ()))
-          Ssx.Registers.all_reg16;
-        List.iter
-          (fun r -> Ssx.Registers.set_sreg regs r (word ()))
-          Ssx.Registers.all_sreg;
-        regs.Ssx.Registers.ip <- word ();
-        regs.Ssx.Registers.psw <- word ();
-        let all_beat () =
-          Array.for_all
-            (fun hb -> Ssx_devices.Heartbeat.count hb > 0)
-            sched.Ssos.Primitive_sched.heartbeats
-        in
-        Ssx.Machine.run_until machine ~limit:round_bound (fun _ -> all_beat ()))
+  let convergence =
+    Runner.summarize
+      (primitive_trials ?jobs ~trials ~warmup:0 (fun sched i ->
+           let machine = sched.Ssos.Primitive_sched.machine in
+           let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
+           let regs = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
+           let word () = Ssx_faults.Rng.int rng 0x10000 in
+           List.iter
+             (fun r -> Ssx.Registers.set16 regs r (word ()))
+             Ssx.Registers.all_reg16;
+           List.iter
+             (fun r -> Ssx.Registers.set_sreg regs r (word ()))
+             Ssx.Registers.all_sreg;
+           regs.Ssx.Registers.ip <- word ();
+           regs.Ssx.Registers.psw <- word ();
+           let all_beat () =
+             Array.for_all
+               (fun hb -> Ssx_devices.Heartbeat.count hb > 0)
+               sched.Ssos.Primitive_sched.heartbeats
+           in
+           let ran =
+             Ssx.Machine.run_until machine ~limit:round_bound (fun _ ->
+                 all_beat ())
+           in
+           { Runner.recovered = ran <> None; recovery_ticks = ran }))
   in
-  let converged =
-    Array.fold_left
-      (fun acc t -> if t <> None then acc + 1 else acc)
-      0 convergences
-  in
-  let worst =
-    Array.fold_left
-      (fun acc t -> match t with Some t -> max acc t | None -> acc)
-      0 convergences
-  in
-  (* Fault-burst recovery. *)
+  (* Fault-burst recovery: every process beat within the last 1,000
+     ticks of the run. *)
   let burst_trials = 30 in
-  let alive_flags =
-    Pool.run ?jobs burst_trials (fun i ->
-        let sched = Ssos.Primitive_sched.build () in
-        let rng =
-          Ssx_faults.Rng.create (Runner.trial_seed (Int64.add seed 77L) i)
-        in
-        Ssx.Machine.run sched.Ssos.Primitive_sched.machine ~ticks:10_000;
-        ignore
-          (Ssx_faults.Injector.inject_now
-             (Ssos.Primitive_sched.fault_system sched)
-             ~rng
-             ~space:(Ssos.Primitive_sched.fault_space sched)
-             30);
-        Ssx.Machine.run sched.Ssos.Primitive_sched.machine ~ticks:50_000;
-        let end_tick = Ssx.Machine.ticks sched.Ssos.Primitive_sched.machine in
-        Array.for_all
-          (fun hb ->
-            match Ssx_devices.Heartbeat.last hb with
-            | Some s -> end_tick - s.Ssx_devices.Heartbeat.tick < 1_000
-            | None -> false)
-          sched.Ssos.Primitive_sched.heartbeats)
-  in
   let alive =
-    Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 alive_flags
+    Runner.summarize
+      (primitive_trials ?jobs ~trials:burst_trials ~warmup:10_000
+         (fun sched i ->
+           let rng =
+             Ssx_faults.Rng.create (Runner.trial_seed (Int64.add seed 77L) i)
+           in
+           ignore
+             (Ssx_faults.Injector.inject_now
+                (Ssos.Primitive_sched.fault_system sched)
+                ~rng
+                ~space:(Ssos.Primitive_sched.fault_space sched)
+                30);
+           Ssx.Machine.run sched.Ssos.Primitive_sched.machine ~ticks:50_000;
+           let end_tick = Ssx.Machine.ticks sched.Ssos.Primitive_sched.machine in
+           { Runner.recovered =
+               Array.for_all
+                 (fun hb ->
+                   match Ssx_devices.Heartbeat.last hb with
+                   | Some s -> end_tick - s.Ssx_devices.Heartbeat.tick < 1_000
+                   | None -> false)
+                 sched.Ssos.Primitive_sched.heartbeats;
+             recovery_ticks = None }))
   in
   { Table.id = "T5";
     title = "Primitive scheduler (section 5.1): fairness and convergence";
@@ -273,13 +331,16 @@ let t5_primitive_fairness ?(seed = 5L) ?(trials = 100) ?jobs () =
           Printf.sprintf "min %d / max %d" min_beats max_beats ];
         [ "fairness spread (max-min)"; Table.cell_int (max_beats - min_beats) ];
         [ Printf.sprintf "arbitrary-start convergence (%d trials)" trials;
-          Table.cell_rate converged trials ];
-        [ "worst ticks until every process ran"; Table.cell_int worst ];
-        [ "alive after 30-fault burst"; Table.cell_rate alive burst_trials ] ] }
+          Table.cell_rate convergence.Runner.recoveries trials ];
+        [ "worst ticks until every process ran";
+          Table.cell_int (Option.value convergence.Runner.max_recovery ~default:0) ];
+        [ "alive after 30-fault burst";
+          Table.cell_rate alive.Runner.recoveries burst_trials ] ] }
 
 (* ----------------------------------------------------------------- T6 *)
 
-let t6_sched_stabilization ?(seed = 6L) ?(trials = 25) ?jobs () =
+let t6_sched_stabilization ?jobs () =
+  let seed = 6L and trials = 25 in
   let row label burst =
     let s =
       Runner.sched_campaign
@@ -300,87 +361,75 @@ let t6_sched_stabilization ?(seed = 6L) ?(trials = 25) ?jobs () =
 
 (* ----------------------------------------------------------------- T7 *)
 
-let t7_ablations ?(seed = 7L) ?(trials = 25) ?jobs () =
-  let count_recovered flags =
-    Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 flags
+(* The silent wedge: nop out the guest's heartbeat port write.  The
+   guest keeps looping (and kicking a petted watchdog) while doing
+   nothing useful — the failure mode an unconditionally periodic
+   watchdog is immune to. *)
+let silent_wedge system =
+  let mem = Ssx.Machine.memory system.Ssos.System.machine in
+  let base = Ssos.Layout.os_segment lsl 4 in
+  let nop = 0x70 in
+  let rec hunt i =
+    if i >= Ssos.Layout.os_data_offset then ()
+    else if
+      Ssx.Memory.read_byte mem (base + i) = 0x6A
+      && Ssx.Memory.read_byte mem (base + i + 1) = Ssos.Layout.heartbeat_port
+    then begin
+      Ssx.Memory.write_byte mem (base + i) nop;
+      Ssx.Memory.write_byte mem (base + i + 1) nop
+    end
+    else hunt (i + 1)
   in
-  let sched_row label build =
-    let s = Runner.sched_campaign ~build ~burst:40 ?jobs ~trials ~seed () in
+  hunt 0
+
+let t7_ablations ?jobs () =
+  let seed = 7L and trials = 25 in
+  let spec = Ssos.Reinstall.weak_spec () in
+  let sched_row label ?space ?(burst = 40) build =
+    let s = Runner.sched_campaign ~build ?space ~burst ?jobs ~trials ~seed () in
     (label :: summary_cells s)
+  in
+  let rate_row label outcomes =
+    let s = Runner.summarize outcomes in
+    [ label; Table.cell_rate s.Runner.recoveries s.Runner.trials; "-"; "-" ]
   in
   (* NMI-counter and hardwired-vector ablations use the reinstall design
      with targeted control faults. *)
   let reinstall_row label ~nmi_counter_enabled ~hardwired_nmi ~extra_faults =
-    let spec = Ssos.Reinstall.weak_spec () in
-    let recovered =
-      count_recovered
-        (Pool.run ?jobs trials (fun i ->
-             let system =
-               Ssos.Reinstall.build ~nmi_counter_enabled ~hardwired_nmi ()
-             in
-             let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
-             Ssos.System.run system ~ticks:30_000;
-             List.iter
-               (fun fault ->
-                 ignore
-                   (Ssx_faults.Fault.apply
-                      (Ssos.System.fault_system system)
-                      fault))
-               (extra_faults rng);
-             ignore
-               (Ssx_faults.Injector.inject_now
-                  (Ssos.System.fault_system system)
-                  ~rng ~space:Ssos.System.ram_only_fault_space 30);
-             Ssos.System.run system ~ticks:400_000;
-             let verdict =
-               Ssx_stab.Convergence.judge ~spec
-                 ~samples:
-                   (Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
-                 ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)
-             in
-             Ssx_stab.Convergence.converged verdict))
-    in
-    [ label; Table.cell_rate recovered trials; "-"; "-" ]
+    rate_row label
+      (system_trials ?jobs ~trials
+         ~build:(fun () ->
+           Ssos.Reinstall.build ~nmi_counter_enabled ~hardwired_nmi ())
+         ~warmup:30_000
+         (fun system i ->
+           let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
+           apply_faults system (extra_faults rng);
+           ignore
+             (Ssx_faults.Injector.inject_now
+                (Ssos.System.fault_system system)
+                ~rng ~space:Ssos.System.ram_only_fault_space 30);
+           Ssos.System.run system ~ticks:400_000;
+           heartbeat_outcome ~spec ~faults_end:30_000 system))
   in
-  (* The silent wedge: nop out the guest's heartbeat port write.  The
-     guest keeps looping (and kicking a petted watchdog) while doing
-     nothing useful — the failure mode an unconditionally periodic
-     watchdog is immune to. *)
-  let silent_wedge system =
-    let mem = Ssx.Machine.memory system.Ssos.System.machine in
-    let base = Ssos.Layout.os_segment lsl 4 in
-    let nop = 0x70 in
-    let rec hunt i =
-      if i >= Ssos.Layout.os_data_offset then ()
-      else if
-        Ssx.Memory.read_byte mem (base + i) = 0x6A
-        && Ssx.Memory.read_byte mem (base + i + 1) = Ssos.Layout.heartbeat_port
-      then begin
-        Ssx.Memory.write_byte mem (base + i) nop;
-        Ssx.Memory.write_byte mem (base + i + 1) nop
-      end
-      else hunt (i + 1)
-    in
-    hunt 0
-  in
+  (* The wedge is deterministic: every trial of a row is the same run. *)
   let wedge_row label build =
-    let spec = Ssos.Reinstall.weak_spec () in
-    let recovered =
-      count_recovered
-        (Pool.run ?jobs trials (fun _ ->
-             let system = build () in
-             Ssos.System.run system ~ticks:30_000;
-             silent_wedge system;
-             Ssos.System.run system ~ticks:300_000;
-             let verdict =
-               Ssx_stab.Convergence.judge ~spec
-                 ~samples:
-                   (Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
-                 ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)
-             in
-             Ssx_stab.Convergence.converged verdict))
-    in
-    [ label; Table.cell_rate recovered trials; "-"; "-" ]
+    rate_row label
+      (system_trials ?jobs ~trials ~build ~warmup:30_000 (fun system _ ->
+           silent_wedge system;
+           Ssos.System.run system ~ticks:300_000;
+           heartbeat_outcome ~spec ~faults_end:30_000 system))
+  in
+  (* Random faults rarely hit the ~35 live code bytes inside each 4 KiB
+     window, so the refresh's value only shows under targeted
+     corruption of the instruction bytes themselves. *)
+  let code_space =
+    { Ssx_faults.Fault.ram_regions =
+        List.init 4 (fun i -> (Ssos.Layout.proc_segment i lsl 4, 48));
+      registers = false;
+      control_state = false;
+      halt_faults = false;
+      idtr_faults = false;
+      watchdog_state = false }
   in
   let rows =
     [ wedge_row "petted watchdog + silent wedge" (fun () ->
@@ -401,39 +450,10 @@ let t7_ablations ?(seed = 7L) ?(trials = 25) ?jobs () =
           Ssos.Sched.build ~ip_mask:Ssos.Sched.No_mask ());
       sched_row "sched: code refresh off" (fun () ->
           Ssos.Sched.build ~refresh:false ());
-      (* Random faults rarely hit the ~35 live code bytes inside each
-         4 KiB window, so the refresh's value only shows under targeted
-         corruption of the instruction bytes themselves. *)
-      (let code_space n =
-         { Ssx_faults.Fault.ram_regions =
-             List.init n (fun i -> (Ssos.Layout.proc_segment i lsl 4, 48));
-           registers = false;
-           control_state = false;
-           halt_faults = false;
-           idtr_faults = false;
-           watchdog_state = false }
-       in
-       let s =
-         Runner.sched_campaign
-           ~build:(fun () -> Ssos.Sched.build ~refresh:true ())
-           ~space:(code_space 4) ~burst:8 ?jobs ~trials ~seed ()
-       in
-       ("sched: refresh on, targeted code faults" :: summary_cells s));
-      (let code_space n =
-         { Ssx_faults.Fault.ram_regions =
-             List.init n (fun i -> (Ssos.Layout.proc_segment i lsl 4, 48));
-           registers = false;
-           control_state = false;
-           halt_faults = false;
-           idtr_faults = false;
-           watchdog_state = false }
-       in
-       let s =
-         Runner.sched_campaign
-           ~build:(fun () -> Ssos.Sched.build ~refresh:false ())
-           ~space:(code_space 4) ~burst:8 ?jobs ~trials ~seed ()
-       in
-       ("sched: refresh off, targeted code faults" :: summary_cells s));
+      sched_row "sched: refresh on, targeted code faults" ~space:code_space
+        ~burst:8 (fun () -> Ssos.Sched.build ~refresh:true ());
+      sched_row "sched: refresh off, targeted code faults" ~space:code_space
+        ~burst:8 (fun () -> Ssos.Sched.build ~refresh:false ());
       reinstall_row "reinstall: nmi counter ON + latch fault + halt"
         ~nmi_counter_enabled:true ~hardwired_nmi:true
         ~extra_faults:(fun _ ->
@@ -460,7 +480,8 @@ let t7_ablations ?(seed = 7L) ?(trials = 25) ?jobs () =
 
 (* ----------------------------------------------------------------- T8 *)
 
-let t8_monitor_coverage ?(seed = 8L) ?(trials = 25) ?jobs () =
+let t8_monitor_coverage ?jobs () =
+  let seed = 8L and trials = 25 in
   let spec = Ssos.Monitor.spec () in
   let classes =
     [ ("task index out of range",
@@ -489,52 +510,27 @@ let t8_monitor_coverage ?(seed = 8L) ?(trials = 25) ?jobs () =
   let rows =
     List.map
       (fun (label, make_faults) ->
-        let outcomes =
-          Pool.run ?jobs trials (fun i ->
-              let monitor = Ssos.Monitor.build () in
+        let results =
+          machine_trials ?jobs ~trials
+            ~build:(fun () -> Ssos.Monitor.build ())
+            ~machine:(fun monitor ->
+              monitor.Ssos.Monitor.system.Ssos.System.machine)
+            ~counts:(fun monitor -> Ssos.System.counts monitor.Ssos.Monitor.system)
+            ~warmup:30_000
+            (fun monitor i ->
               let system = monitor.Ssos.Monitor.system in
               let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
-              Ssos.System.run system ~ticks:30_000;
-              List.iter
-                (fun fault ->
-                  ignore
-                    (Ssx_faults.Fault.apply
-                       (Ssos.System.fault_system system)
-                       fault))
-                (make_faults rng);
+              apply_faults system (make_faults rng);
               Ssos.System.run system ~ticks:300_000;
-              let verdict =
-                Ssx_stab.Convergence.judge ~spec
-                  ~samples:
-                    (Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
-                  ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)
-              in
-              let converged = Ssx_stab.Convergence.converged verdict in
-              let time =
-                if converged then
-                  Ssx_stab.Convergence.recovery_time ~faults_end:30_000 verdict
-                else None
-              in
-              (converged, time, Ssos.Monitor.detections monitor <> []))
+              ( heartbeat_outcome ~spec ~faults_end:30_000 system,
+                Ssos.Monitor.detections monitor <> [] ))
         in
-        let recovered, detected, time_sum, time_count =
-          Array.fold_left
-            (fun (recovered, detected, time_sum, time_count)
-                 (converged, time, was_detected) ->
-              ( (if converged then recovered + 1 else recovered),
-                (if was_detected then detected + 1 else detected),
-                (match time with Some t -> time_sum + t | None -> time_sum),
-                match time with Some _ -> time_count + 1 | None -> time_count ))
-            (0, 0, 0, 0) outcomes
-        in
-        let mean =
-          if time_count = 0 then None
-          else Some (float_of_int time_sum /. float_of_int time_count)
-        in
+        let s = Runner.summarize (List.map fst results) in
+        let detected = List.length (List.filter snd results) in
         [ label;
           Table.cell_rate detected trials;
-          Table.cell_rate recovered trials;
-          Table.cell_opt_float ~decimals:0 mean ])
+          Table.cell_rate s.Runner.recoveries trials;
+          Table.cell_opt_float ~decimals:0 s.Runner.mean_recovery ])
       classes
   in
   { Table.id = "T8";
@@ -550,8 +546,7 @@ let t8_monitor_coverage ?(seed = 8L) ?(trials = 25) ?jobs () =
 
 (* ----------------------------------------------------------------- T9 *)
 
-let t9_weak_vs_strict ?(seed = 9L) () =
-  ignore seed;
+let t9_weak_vs_strict () =
   let horizon = 400_000 in
   let row label build =
     let system = build () in
@@ -607,7 +602,8 @@ let t9_weak_vs_strict ?(seed = 9L) () =
 
 (* ---------------------------------------------------------------- T10 *)
 
-let t10_composition ?(seed = 10L) () =
+let t10_composition () =
+  let seed = 10L in
   let monitor = Ssos.Monitor.build () in
   let system = monitor.Ssos.Monitor.system in
   let machine = system.Ssos.System.machine in
@@ -683,16 +679,18 @@ let t10_composition ?(seed = 10L) () =
 
 (* ---------------------------------------------------------------- T11 *)
 
-let t11_token_ring_os ?(seed = 11L) ?(trials = 15) ?jobs () =
+let t11_token_ring_os ?jobs () =
+  let seed = 11L and trials = 15 in
   let row n =
-    let results =
-      Pool.run ?jobs trials (fun i ->
-          let sched = Ssos.Token_os.build ~n () in
+    let outcomes =
+      sched_trials ?jobs ~trials
+        ~build:(fun () -> Ssos.Token_os.build ~n ())
+        ~warmup:150_000
+        (fun sched i ->
           let machine = sched.Ssos.Sched.machine in
           let rng =
             Ssx_faults.Rng.create (Runner.trial_seed seed (i + (n * 1000)))
           in
-          Ssx.Machine.run machine ~ticks:150_000;
           (* Joint corruption of every layer: processor registers,
              scheduler soft state, process code/data, and the ring's
              shared counters. *)
@@ -721,23 +719,13 @@ let t11_token_ring_os ?(seed = 11L) ?(trials = 15) ?jobs () =
               else if Ssx.Machine.ticks machine - start > 2_000_000 then None
               else settle deadline
           in
-          settle 2_000_000)
+          let settled = settle 2_000_000 in
+          { Runner.recovered = settled <> None; recovery_ticks = settled })
     in
-    let recovered, time_sum, time_count =
-      Array.fold_left
-        (fun (recovered, time_sum, time_count) result ->
-          match result with
-          | Some t -> (recovered + 1, time_sum + t, time_count + 1)
-          | None -> (recovered, time_sum, time_count))
-        (0, 0, 0) results
-    in
-    let mean =
-      if time_count = 0 then None
-      else Some (float_of_int time_sum /. float_of_int time_count)
-    in
+    let s = Runner.summarize outcomes in
     [ Printf.sprintf "%d ring machines on the tiny OS" n;
-      Table.cell_rate recovered trials;
-      Table.cell_opt_float ~decimals:0 mean ]
+      Table.cell_rate s.Runner.recoveries trials;
+      Table.cell_opt_float ~decimals:0 s.Runner.mean_recovery ]
   in
   { Table.id = "T11";
     title = "Dijkstra's token ring as guest processes (three-layer composition)";
@@ -750,7 +738,8 @@ let t11_token_ring_os ?(seed = 11L) ?(trials = 15) ?jobs () =
 
 (* ---------------------------------------------------------------- T12 *)
 
-let t12_soft_error_rates ?(seed = 12L) ?(trials = 3) ?jobs () =
+let t12_soft_error_rates ?jobs () =
+  let seed = 12L and trials = 3 in
   let horizon = 1_000_000 in
   let clean_beats build =
     let system = build () in
@@ -763,17 +752,6 @@ let t12_soft_error_rates ?(seed = 12L) ?(trials = 3) ?jobs () =
       ("s4 monitor+repair", fun () -> (Ssos.Monitor.build ()).Ssos.Monitor.system) ]
   in
   let baselines = List.map (fun (name, build) -> (name, clean_beats build)) designs in
-  (* Each trial builds its own system: a 1M-tick run dwarfs the build. *)
-  let availability build baseline rate trial =
-    let system = build () in
-    let rng = Ssx_faults.Rng.create (Runner.trial_seed seed trial) in
-    ignore
-      (Ssx_faults.Injector.run_poisson
-         (Ssos.System.fault_system system)
-         ~rng ~space:Ssos.System.default_fault_space ~rate ~ticks:horizon);
-    float_of_int (Ssx_devices.Heartbeat.count system.Ssos.System.heartbeat)
-    /. float_of_int baseline
-  in
   let rows =
     List.concat_map
       (fun rate ->
@@ -781,12 +759,21 @@ let t12_soft_error_rates ?(seed = 12L) ?(trials = 3) ?jobs () =
           (fun (name, build) ->
             let baseline = List.assoc name baselines in
             let samples =
-              Pool.run ?jobs trials (availability build baseline rate)
+              system_trials ?jobs ~trials ~build ~warmup:0 (fun system i ->
+                  let rng = Ssx_faults.Rng.create (Runner.trial_seed seed i) in
+                  ignore
+                    (Ssx_faults.Injector.run_poisson
+                       (Ssos.System.fault_system system)
+                       ~rng ~space:Ssos.System.default_fault_space ~rate
+                       ~ticks:horizon);
+                  float_of_int
+                    (Ssx_devices.Heartbeat.count system.Ssos.System.heartbeat)
+                  /. float_of_int baseline)
             in
-            (* Summed in index order: the mean is bit-identical for any
+            (* Summed in trial order: the mean is bit-identical for any
                worker count. *)
             let mean =
-              Array.fold_left ( +. ) 0.0 samples /. float_of_int trials
+              List.fold_left ( +. ) 0.0 samples /. float_of_int trials
             in
             [ Printf.sprintf "%.0e" rate; name;
               Printf.sprintf "%.1f%%" (100.0 *. mean) ])
@@ -804,105 +791,90 @@ let t12_soft_error_rates ?(seed = 12L) ?(trials = 3) ?jobs () =
 
 (* ---------------------------------------------------------------- T13 *)
 
-let t13_exhaustive_sweeps ?(seed = 13L) () =
-  ignore seed;
-  (* Every case starts from the same state: each sweep builds and warms
-     one machine, captures it, and restores the capture before every
-     case. *)
+let t13_exhaustive_sweeps ?jobs () =
+  (* Every case of a sweep is a trial indexed by the case: each starts
+     from the same booted or warmed state. *)
+  let failures recovered = List.length (List.filter not recovered) in
   (* Sweep 1: the primitive scheduler from EVERY instruction-pointer
      value (cs fixed at the ROM segment).  Self-stabilization quantifies
      over all states; here we enumerate one whole dimension instead of
      sampling it. *)
-  let prim_total = 0x10000 and prim_stride = 1 in
-  let prim_failures = ref 0 in
+  let prim_cases = 0x10000 in
   let round_bound = 4 * Ssos.Primitive_sched.region_size in
-  let sched = Ssos.Primitive_sched.build () in
-  let machine = sched.Ssos.Primitive_sched.machine in
-  let booted = Ssx.Snapshot.capture machine in
-  let regs = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
-  let ip = ref 0 in
-  while !ip < prim_total do
-    Ssx.Snapshot.restore booted machine;
-    regs.Ssx.Registers.cs <- Ssos.Layout.rom_segment;
-    regs.Ssx.Registers.ip <- !ip;
-    let before =
-      Array.map Ssx_devices.Heartbeat.count sched.Ssos.Primitive_sched.heartbeats
-    in
-    let all_beat () =
-      Array.for_all2
-        (fun hb b -> Ssx_devices.Heartbeat.count hb > b)
-        sched.Ssos.Primitive_sched.heartbeats before
-    in
-    (match Ssx.Machine.run_until machine ~limit:round_bound (fun _ -> all_beat ()) with
-    | Some _ -> ()
-    | None -> incr prim_failures);
-    ip := !ip + prim_stride
-  done;
+  let prim_failures =
+    failures
+      (primitive_trials ?jobs ~trials:prim_cases ~warmup:0 (fun sched ip ->
+           let machine = sched.Ssos.Primitive_sched.machine in
+           let regs = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
+           regs.Ssx.Registers.cs <- Ssos.Layout.rom_segment;
+           regs.Ssx.Registers.ip <- ip;
+           let before =
+             Array.map Ssx_devices.Heartbeat.count
+               sched.Ssos.Primitive_sched.heartbeats
+           in
+           let all_beat () =
+             Array.for_all2
+               (fun hb b -> Ssx_devices.Heartbeat.count hb > b)
+               sched.Ssos.Primitive_sched.heartbeats before
+           in
+           Ssx.Machine.run_until machine ~limit:round_bound (fun _ -> all_beat ())
+           <> None))
+  in
   (* Sweep 2: every word of the section 5.2 scheduler's soft state
      (process table, index, stack frame area), each set to each of a set
      of adversarial values. *)
-  let sched_values = [ 0x0000; 0x0001; 0x00FF; 0x2100; 0x8000; 0xFFFF ] in
-  let sched_runs = ref 0 and sched_failures = ref 0 in
+  let sched_values = [| 0x0000; 0x0001; 0x00FF; 0x2100; 0x8000; 0xFFFF |] in
   let n = 4 in
   let word_addrs =
-    List.init (n * 13) (fun i -> Ssos.Sched.process_record_addr 0 + (2 * i))
-    @ [ Ssos.Sched.process_index_addr ]
-    @ List.init 6 (fun i ->
-          Ssx.Addr.physical ~seg:Ssos.Layout.sched_stack_segment
-            ~off:(Ssos.Layout.sched_stack_top - 6 + (2 * i)))
+    Array.of_list
+      (List.init (n * 13) (fun i -> Ssos.Sched.process_record_addr 0 + (2 * i))
+      @ [ Ssos.Sched.process_index_addr ]
+      @ List.init 6 (fun i ->
+            Ssx.Addr.physical ~seg:Ssos.Layout.sched_stack_segment
+              ~off:(Ssos.Layout.sched_stack_top - 6 + (2 * i))))
   in
-  let sched = Ssos.Sched.build ~n () in
-  let machine = sched.Ssos.Sched.machine in
-  Ssx.Machine.run machine ~ticks:100_000;
-  let warmed = Ssx.Snapshot.capture machine in
-  List.iter
-    (fun addr ->
-      List.iter
-        (fun value ->
-          incr sched_runs;
-          Ssx.Snapshot.restore warmed machine;
-          Ssx.Memory.write_word (Ssx.Machine.memory machine) addr value;
-          let before =
-            Array.map Ssx_devices.Heartbeat.count sched.Ssos.Sched.heartbeats
-          in
-          let recovered () =
-            Array.for_all2
-              (fun hb b -> Ssx_devices.Heartbeat.count hb > b + 1)
-              sched.Ssos.Sched.heartbeats before
-          in
-          match
-            Ssx.Machine.run_until machine
-              ~limit:(3 * n * Ssos.Sched.default_watchdog_period)
-              (fun _ -> recovered ())
-          with
-          | Some _ -> ()
-          | None -> incr sched_failures)
-        sched_values)
-    word_addrs;
+  let values = Array.length sched_values in
+  let sched_cases = Array.length word_addrs * values in
+  let sched_failures =
+    failures
+      (sched_trials ?jobs ~trials:sched_cases
+         ~build:(fun () -> Ssos.Sched.build ~n ())
+         ~warmup:100_000
+         (fun sched case ->
+           let machine = sched.Ssos.Sched.machine in
+           Ssx.Memory.write_word (Ssx.Machine.memory machine)
+             word_addrs.(case / values)
+             sched_values.(case mod values);
+           let before =
+             Array.map Ssx_devices.Heartbeat.count sched.Ssos.Sched.heartbeats
+           in
+           let recovered () =
+             Array.for_all2
+               (fun hb b -> Ssx_devices.Heartbeat.count hb > b + 1)
+               sched.Ssos.Sched.heartbeats before
+           in
+           Ssx.Machine.run_until machine
+             ~limit:(3 * n * Ssos.Sched.default_watchdog_period)
+             (fun _ -> recovered ())
+           <> None))
+  in
   (* Sweep 3: dense single-byte corruption of the running OS image under
      the Figure 1 design (every 4th offset, forced to 0xFF). *)
-  let reinstall_runs = ref 0 and reinstall_failures = ref 0 in
   let spec = Ssos.Reinstall.weak_spec ~window:10_000 () in
-  let system = Ssos.Reinstall.build () in
-  Ssos.System.run system ~ticks:10_000;
-  let warmed = Ssx.Snapshot.capture system.Ssos.System.machine in
-  let offset = ref 0 in
-  while !offset < Ssos.Layout.os_image_size do
-    incr reinstall_runs;
-    Ssx.Snapshot.restore warmed system.Ssos.System.machine;
-    Ssx.Memory.write_byte
-      (Ssx.Machine.memory system.Ssos.System.machine)
-      ((Ssos.Layout.os_segment lsl 4) + !offset)
-      0xFF;
-    Ssos.System.run system ~ticks:120_000;
-    let verdict =
-      Ssx_stab.Convergence.judge ~spec
-        ~samples:(Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
-        ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)
-    in
-    if not (Ssx_stab.Convergence.converged verdict) then incr reinstall_failures;
-    offset := !offset + 4
-  done;
+  let image_cases = (Ssos.Layout.os_image_size + 3) / 4 in
+  let image_failures =
+    failures
+      (system_trials ?jobs ~trials:image_cases
+         ~build:(fun () -> Ssos.Reinstall.build ())
+         ~warmup:10_000
+         (fun system case ->
+           Ssx.Memory.write_byte
+             (Ssx.Machine.memory system.Ssos.System.machine)
+             ((Ssos.Layout.os_segment lsl 4) + (4 * case))
+             0xFF;
+           Ssos.System.run system ~ticks:120_000;
+           (heartbeat_outcome ~spec ~faults_end:10_000 system).Runner.recovered))
+  in
   { Table.id = "T13";
     title = "Exhaustive state-space sweeps (no sampling)";
     note =
@@ -914,18 +886,19 @@ let t13_exhaustive_sweeps ?(seed = 13L) () =
     header = [ "sweep"; "cases"; "failures" ];
     rows =
       [ [ "primitive scheduler: all 65536 ip values";
-          Table.cell_int (prim_total / prim_stride);
-          Table.cell_int !prim_failures ];
+          Table.cell_int prim_cases;
+          Table.cell_int prim_failures ];
         [ "5.2 scheduler: every soft-state word x 6 values";
-          Table.cell_int !sched_runs;
-          Table.cell_int !sched_failures ];
+          Table.cell_int sched_cases;
+          Table.cell_int sched_failures ];
         [ "figure 1: OS image byte -> 0xFF, stride 4";
-          Table.cell_int !reinstall_runs;
-          Table.cell_int !reinstall_failures ] ] }
+          Table.cell_int image_cases;
+          Table.cell_int image_failures ] ] }
 
 (* ---------------------------------------------------------------- T14 *)
 
-let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs () =
+let t14_ring_link_faults ?jobs () =
+  let seed = 14L and trials = 12 in
   let n = 4 in
   let rates = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
   let rows =
@@ -940,16 +913,11 @@ let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs () =
         (* The same master seed across rates pairs the trials: row r and
            row r' corrupt trial i identically, so differences are the
            link fault rate's alone. *)
-        let summary =
-          Runner.ring_campaign ~build ~perturb:Ssos_net.Net_ring.corrupt
-            ~horizon:4_000 ~window:600 ?jobs ~trials ~seed ()
-        in
-        [ Printf.sprintf "%.0f%%" (100. *. drop);
-          Table.cell_rate summary.Runner.recoveries summary.Runner.trials;
-          Table.cell_opt_float ~decimals:0 summary.Runner.mean_recovery;
-          (match summary.Runner.max_recovery with
-          | None -> "-"
-          | Some m -> Table.cell_int m) ])
+        Printf.sprintf "%.0f%%" (100. *. drop)
+        :: summary_cells
+             (Runner.summarize
+                (Runner.ring_campaign ~build ~perturb:Ssos_net.Net_ring.corrupt
+                   ~horizon:4_000 ~window:600 ?jobs ~trials ~seed ())))
       rates
   in
   { Table.id = "T14";
@@ -966,58 +934,60 @@ let t14_ring_link_faults ?(seed = 14L) ?(trials = 12) ?jobs () =
 
 (* ---------------------------------------------------------------- T15 *)
 
-let t15_ring_combined_faults ?(seed = 15L) ?(trials = 10) ?jobs () =
-  let n = 4 in
-  let build () =
-    Ssos_net.Net_ring.build ~n ~seed:(Ssx_faults.Rng.derive seed 200) ()
-  in
-  let set_links ring ~drop ~corrupt =
+(* The combined fault phase of T15 and T17.  Machine faults: [burst]
+   random corruptions, each from a random node's full 5.2 fault space
+   (RAM, registers, control state, watchdog) — a node may lose its
+   scheduler state entirely and must recover through its own watchdog
+   NMI, during which it neither forwards counters nor serves.  Then
+   [corrupt]: arbitrary words in the distributed state, so the
+   configuration is arbitrary in the paper's sense when the message
+   phase starts.  Message faults: a 150-step phase in which every link
+   drops 30% of messages and corrupts a byte of half the rest; healthy
+   nodes partially reconverge during it, crashed ones hold their
+   corrupt state until their watchdog fires.  The links are clean
+   again afterwards, for the judged recovery (and T17's serve phase:
+   corrupting links while serving would forge store writes, which no
+   replication protocol can linearize through). *)
+let combined_faults ~burst rng ~systems ~cluster ~corrupt =
+  let set_links ~drop ~corrupt =
     Array.iter
       (fun link ->
         let f = Ssos_net.Link.faults link in
         f.Ssos_net.Link.drop <- drop;
         f.Ssos_net.Link.corrupt <- corrupt)
-      (Ssos_net.Cluster.links ring.Ssos_net.Net_ring.cluster)
+      (Ssos_net.Cluster.links cluster)
+  in
+  for _ = 1 to burst do
+    let sched = systems.(Ssx_faults.Rng.int rng (Array.length systems)) in
+    ignore
+      (Ssx_faults.Fault.apply
+         (Ssos.Sched.fault_system sched)
+         (Ssx_faults.Fault.random rng (Ssos.Sched.fault_space sched)))
+  done;
+  corrupt ();
+  set_links ~drop:0.3 ~corrupt:0.5;
+  Ssos_net.Cluster.run_sharded cluster ~steps:150;
+  set_links ~drop:0.0 ~corrupt:0.0
+
+let t15_ring_combined_faults ?jobs () =
+  let seed = 15L and trials = 10 in
+  let n = 4 in
+  let build () =
+    Ssos_net.Net_ring.build ~n ~seed:(Ssx_faults.Rng.derive seed 200) ()
   in
   let perturb ~burst rng ring =
-    (* Machine faults: [burst] random corruptions from each node's full
-       5.2 fault space (RAM, registers, control state, watchdog),
-       spread over random nodes — a node may lose its scheduler state
-       entirely and must recover through its own watchdog NMI, during
-       which it neither clamps nor forwards counters. *)
-    for _ = 1 to burst do
-      let i = Ssx_faults.Rng.int rng n in
-      let sched = ring.Ssos_net.Net_ring.systems.(i) in
-      ignore
-        (Ssx_faults.Fault.apply
-           (Ssos.Sched.fault_system sched)
-           (Ssx_faults.Fault.random rng (Ssos.Sched.fault_space sched)))
-    done;
-    (* Joint state corruption: arbitrary words in every counter and
-       every view, so the configuration is arbitrary in the paper's
-       sense when the message phase starts. *)
-    Ssos_net.Net_ring.corrupt rng ring;
-    (* Message faults: a 150-step phase in which every link drops 30%
-       of messages and corrupts a byte of half the rest.  Healthy nodes
-       partially reconverge during the phase; crashed nodes hold their
-       corrupt counters until their watchdog fires. *)
-    set_links ring ~drop:0.3 ~corrupt:0.5;
-    Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps:150;
-    set_links ring ~drop:0.0 ~corrupt:0.0
+    combined_faults ~burst rng ~systems:ring.Ssos_net.Net_ring.systems
+      ~cluster:ring.Ssos_net.Net_ring.cluster ~corrupt:(fun () ->
+        Ssos_net.Net_ring.corrupt rng ring)
   in
   let rows =
     List.map
       (fun burst ->
-        let summary =
-          Runner.ring_campaign ~build ~perturb:(perturb ~burst) ~horizon:6_000
-            ~window:800 ?jobs ~trials ~seed ()
-        in
-        [ Table.cell_int burst;
-          Table.cell_rate summary.Runner.recoveries summary.Runner.trials;
-          Table.cell_opt_float ~decimals:0 summary.Runner.mean_recovery;
-          (match summary.Runner.max_recovery with
-          | None -> "-"
-          | Some m -> Table.cell_int m) ])
+        Table.cell_int burst
+        :: summary_cells
+             (Runner.summarize
+                (Runner.ring_campaign ~build ~perturb:(perturb ~burst)
+                   ~horizon:6_000 ~window:800 ?jobs ~trials ~seed ())))
       [ 2; 4; 8; 16 ]
   in
   { Table.id = "T15";
@@ -1041,7 +1011,8 @@ let rsm_summary_cells (s : Runner.rsm_summary) =
     Table.cell_float ~decimals:1 s.Runner.mean_lost;
     Table.cell_rate s.Runner.linearized s.Runner.core.Runner.trials ]
 
-let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs () =
+let t16_rsm_link_faults ?jobs () =
+  let seed = 16L and trials = 8 in
   let n = 5 in
   let rates = [ 0.0; 0.05; 0.1; 0.2; 0.3 ] in
   let rows =
@@ -1056,11 +1027,11 @@ let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs () =
         (* Same master seed across rates: row r and row r' corrupt and
            serve trial i identically, so differences are the drop
            rate's alone. *)
-        let summary =
-          Runner.rsm_campaign ~build ~perturb:Ssos_rsm.Service.corrupt ?jobs
-            ~trials ~seed ()
-        in
-        Printf.sprintf "%.0f%%" (100. *. drop) :: rsm_summary_cells summary)
+        Printf.sprintf "%.0f%%" (100. *. drop)
+        :: rsm_summary_cells
+             (Runner.rsm_summarize
+                (Runner.rsm_campaign ~build ~perturb:Ssos_rsm.Service.corrupt
+                   ?jobs ~trials ~seed ())))
       rates
   in
   { Table.id = "T16";
@@ -1082,51 +1053,26 @@ let t16_rsm_link_faults ?(seed = 16L) ?(trials = 8) ?jobs () =
 
 (* ---------------------------------------------------------------- T17 *)
 
-let t17_rsm_combined_faults ?(seed = 17L) ?(trials = 8) ?jobs () =
+let t17_rsm_combined_faults ?jobs () =
+  let seed = 17L and trials = 8 in
   let n = 5 in
   let build () =
     Ssos_rsm.Service.build ~n
       ~seed:(Ssx_faults.Rng.derive seed 200) ()
   in
-  let set_links (service : Ssos_rsm.Service.t) ~drop ~corrupt =
-    Array.iter
-      (fun link ->
-        let f = Ssos_net.Link.faults link in
-        f.Ssos_net.Link.drop <- drop;
-        f.Ssos_net.Link.corrupt <- corrupt)
-      (Ssos_net.Cluster.links service.Ssos_rsm.Service.cluster)
-  in
-  let perturb ~burst rng (service : Ssos_rsm.Service.t) =
-    (* Machine faults: [burst] random corruptions from each node's full
-       5.2 fault space, spread over random nodes — a replica may lose
-       its scheduler state entirely and recover through its own
-       watchdog NMI, during which it neither relays frames nor serves. *)
-    for _ = 1 to burst do
-      let i = Ssx_faults.Rng.int rng n in
-      let sched = service.Ssos_rsm.Service.systems.(i) in
-      ignore
-        (Ssx_faults.Fault.apply
-           (Ssos.Sched.fault_system sched)
-           (Ssx_faults.Fault.random rng (Ssos.Sched.fault_space sched)))
-    done;
-    Ssos_rsm.Service.corrupt rng service;
-    (* Message faults: a 150-step phase in which every link drops 30%
-       of frames and corrupts a byte of half the rest, then clean
-       links for the judged recovery and the serve phase (corrupting
-       links during serving would forge store writes, which no
-       replication protocol can linearize through). *)
-    set_links service ~drop:0.3 ~corrupt:0.5;
-    Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster ~steps:150;
-    set_links service ~drop:0.0 ~corrupt:0.0
+  let perturb ~burst rng service =
+    combined_faults ~burst rng ~systems:service.Ssos_rsm.Service.systems
+      ~cluster:service.Ssos_rsm.Service.cluster ~corrupt:(fun () ->
+        Ssos_rsm.Service.corrupt rng service)
   in
   let rows =
     List.map
       (fun burst ->
-        let summary =
-          Runner.rsm_campaign ~build ~perturb:(perturb ~burst)
-            ~horizon:3_500 ~window:500 ?jobs ~trials ~seed ()
-        in
-        Table.cell_int burst :: rsm_summary_cells summary)
+        Table.cell_int burst
+        :: rsm_summary_cells
+             (Runner.rsm_summarize
+                (Runner.rsm_campaign ~build ~perturb:(perturb ~burst)
+                   ~horizon:3_500 ~window:500 ?jobs ~trials ~seed ())))
       [ 2; 4; 8 ]
   in
   { Table.id = "T17";
@@ -1175,7 +1121,8 @@ let t18_daemons ~warmup =
       Ssos_net.Cluster.Daemon
         (Ssx_stab.Adversary.adaptive ~k:Ssos_net.Net_ring.k ()) ) ]
 
-let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs () =
+let t18_ring_daemon_matrix ?jobs () =
+  let seed = 18L and trials = 10 in
   let n = 4 in
   let warmup = 200 in
   let drops = [ 0.0; 0.2 ] in
@@ -1194,7 +1141,7 @@ let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs () =
                identically, so differences are the daemon's and the
                drop rate's alone. *)
             let outcomes =
-              Runner.ring_campaign_outcomes ~build
+              Runner.ring_campaign ~build
                 ~perturb:Ssos_net.Net_ring.corrupt ~warmup ~horizon:3_000
                 ~window:500 ?jobs ~trials ~seed ()
             in
@@ -1226,7 +1173,8 @@ let t18_ring_daemon_matrix ?(seed = 18L) ?(trials = 10) ?jobs () =
 
 (* ---------------------------------------------------------------- T19 *)
 
-let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs () =
+let t19_rsm_daemon_matrix ?jobs () =
+  let seed = 19L and trials = 6 in
   let n = 5 in
   let warmup = 400 in
   let daemons =
@@ -1254,7 +1202,7 @@ let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs () =
             ~seed:(Ssx_faults.Rng.derive seed 100) ()
         in
         let outcomes =
-          Runner.rsm_campaign_outcomes ~build ~perturb:Ssos_rsm.Service.corrupt
+          Runner.rsm_campaign ~build ~perturb:Ssos_rsm.Service.corrupt
             ~warmup ?jobs ~trials ~seed ()
         in
         let summary = Runner.rsm_summarize outcomes in
@@ -1291,7 +1239,8 @@ let t19_rsm_daemon_matrix ?(seed = 19L) ?(trials = 6) ?jobs () =
 
 (* ---------------------------------------------------------------- T20 *)
 
-let t20_serve_fault_rates ?(seed = 20L) ?(duration = 3_000) () =
+let t20_serve_fault_rates () =
+  let seed = 20L and duration = 3_000 in
   let rates = [ 0.0; 0.001; 0.004; 0.016 ] in
   let rows =
     List.mapi
@@ -1350,25 +1299,25 @@ let t20_serve_fault_rates ?(seed = 20L) ?(duration = 3_000) () =
     rows }
 
 let all =
-  [ ("T1", fun ?jobs () -> t1_reinstall_recovery ?jobs ());
-    ("T2", fun ?jobs () -> t2_lemma_bounds ?jobs ());
-    ("T3", fun ?jobs () -> t3_approach_comparison ?jobs ());
-    ("T4", fun ?jobs () -> t4_period_sweep ?jobs ());
-    ("T5", fun ?jobs () -> t5_primitive_fairness ?jobs ());
-    ("T6", fun ?jobs () -> t6_sched_stabilization ?jobs ());
-    ("T7", fun ?jobs () -> t7_ablations ?jobs ());
-    ("T8", fun ?jobs () -> t8_monitor_coverage ?jobs ());
+  [ ("T1", t1_reinstall_recovery);
+    ("T2", t2_lemma_bounds);
+    ("T3", t3_approach_comparison);
+    ("T4", t4_period_sweep);
+    ("T5", t5_primitive_fairness);
+    ("T6", t6_sched_stabilization);
+    ("T7", t7_ablations);
+    ("T8", t8_monitor_coverage);
     ("T9", fun ?jobs () -> ignore jobs; t9_weak_vs_strict ());
     ("T10", fun ?jobs () -> ignore jobs; t10_composition ());
-    ("T11", fun ?jobs () -> t11_token_ring_os ?jobs ());
-    ("T12", fun ?jobs () -> t12_soft_error_rates ?jobs ());
-    ("T13", fun ?jobs () -> ignore jobs; t13_exhaustive_sweeps ());
-    ("T14", fun ?jobs () -> t14_ring_link_faults ?jobs ());
-    ("T15", fun ?jobs () -> t15_ring_combined_faults ?jobs ());
-    ("T16", fun ?jobs () -> t16_rsm_link_faults ?jobs ());
-    ("T17", fun ?jobs () -> t17_rsm_combined_faults ?jobs ());
-    ("T18", fun ?jobs () -> t18_ring_daemon_matrix ?jobs ());
-    ("T19", fun ?jobs () -> t19_rsm_daemon_matrix ?jobs ());
+    ("T11", t11_token_ring_os);
+    ("T12", t12_soft_error_rates);
+    ("T13", t13_exhaustive_sweeps);
+    ("T14", t14_ring_link_faults);
+    ("T15", t15_ring_combined_faults);
+    ("T16", t16_rsm_link_faults);
+    ("T17", t17_rsm_combined_faults);
+    ("T18", t18_ring_daemon_matrix);
+    ("T19", t19_rsm_daemon_matrix);
     ("T20", fun ?jobs () -> ignore jobs; t20_serve_fault_rates ()) ]
 
 let find id =

@@ -142,8 +142,7 @@ let publish_counts = function
    rebuild-per-trial oracle the campaign tests compare against), so
    outcomes are bit-identical for any [jobs].  With metrics on, each
    trial also adds its delta of [counts] to its worker's ledger. *)
-let run_trials ?oversubscribe ?jobs ~trials ~seed ~warm ~restore ~counts trial
-    =
+let run_trials ?oversubscribe ?jobs ~trials ~warm ~restore ~counts trial =
   let ledgers = Atomic.make [] in
   let init () =
     let state = warm () in
@@ -166,12 +165,11 @@ let run_trials ?oversubscribe ?jobs ~trials ~seed ~warm ~restore ~counts trial
   let outcomes =
     Pool.run_with ?oversubscribe ?jobs ~init trials (fun (state, ledger) i ->
         restore state;
-        let seed = trial_seed seed i in
         match ledger with
-        | None -> trial state seed
+        | None -> trial state i
         | Some l ->
           let before = counts state in
-          let outcome = trial state seed in
+          let outcome = trial state i in
           List.iteri
             (fun k ((_, b), (_, a)) -> l.trials.(k) <- l.trials.(k) + a - b)
             (List.combine before (counts state));
@@ -187,7 +185,7 @@ let judged ~faults_end verdict =
 let heartbeat_campaign ~build ~space ~spec ~burst ?(warmup = 30_000)
     ?(horizon = 400_000) ?oversubscribe ?jobs ~trials ~seed () =
   let outcomes =
-    run_trials ?oversubscribe ?jobs ~trials ~seed
+    run_trials ?oversubscribe ?jobs ~trials
       ~warm:(fun () ->
         let system = build () in
         Ssos.System.run system ~ticks:warmup;
@@ -195,8 +193,8 @@ let heartbeat_campaign ~build ~space ~spec ~burst ?(warmup = 30_000)
       ~restore:(fun (system, snapshot) ->
         Ssx.Snapshot.restore snapshot system.Ssos.System.machine)
       ~counts:(fun (system, _) -> Ssos.System.counts system)
-      (fun (system, _) seed ->
-        let rng = Ssx_faults.Rng.create seed in
+      (fun (system, _) i ->
+        let rng = Ssx_faults.Rng.create (trial_seed seed i) in
         ignore
           (Ssx_faults.Injector.inject_now
              (Ssos.System.fault_system system)
@@ -241,7 +239,7 @@ let sched_campaign ~build ?space ~burst ?(warmup = 100_000)
     ?(horizon = 600_000) ?(max_gap = 100_000) ?(window = 150_000)
     ?oversubscribe ?jobs ~trials ~seed () =
   let outcomes =
-    run_trials ?oversubscribe ?jobs ~trials ~seed
+    run_trials ?oversubscribe ?jobs ~trials
       ~warm:(fun () ->
         let sched = build () in
         let space =
@@ -254,8 +252,8 @@ let sched_campaign ~build ?space ~burst ?(warmup = 100_000)
       ~restore:(fun (sched, _, snapshot) ->
         Ssx.Snapshot.restore snapshot sched.Ssos.Sched.machine)
       ~counts:(fun (sched, _, _) -> Ssos.Sched.counts sched)
-      (fun (sched, space, _) seed ->
-        let rng = Ssx_faults.Rng.create seed in
+      (fun (sched, space, _) i ->
+        let rng = Ssx_faults.Rng.create (trial_seed seed i) in
         ignore
           (Ssx_faults.Injector.inject_now (Ssos.Sched.fault_system sched) ~rng
              ~space burst);
@@ -264,10 +262,10 @@ let sched_campaign ~build ?space ~burst ?(warmup = 100_000)
   in
   publish ~campaign:"sched" outcomes (summarize outcomes)
 
-let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
+let ring_campaign ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
     ?(window = 600) ?oversubscribe ?jobs ~trials ~seed () =
   let outcomes =
-    run_trials ?oversubscribe ?jobs ~trials ~seed
+    run_trials ?oversubscribe ?jobs ~trials
       ~warm:(fun () ->
         (* Cluster snapshots cover every node (NIC queues ride along
            as machine resettables), every link — including the mutable
@@ -280,9 +278,9 @@ let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
       ~restore:(fun (ring, snapshot) ->
         Ssos_net.Cluster.restore ring.Ssos_net.Net_ring.cluster snapshot)
       ~counts:(fun (ring, _) -> Ssos_net.Net_ring.counts ring)
-      (fun (ring, _) seed ->
+      (fun (ring, _) i ->
         let cluster = ring.Ssos_net.Net_ring.cluster in
-        perturb (Ssx_faults.Rng.create seed) ring;
+        perturb (Ssx_faults.Rng.create (trial_seed seed i)) ring;
         (* The perturbation may itself have stepped the cluster (e.g. a
            message-fault phase); recovery counts from wherever it
            ended. *)
@@ -294,12 +292,6 @@ let ring_campaign_outcomes ~build ~perturb ?(warmup = 200) ?(horizon = 2_500)
   in
   ignore (publish ~campaign:"ring" outcomes (summarize outcomes));
   outcomes
-
-let ring_campaign ~build ~perturb ?warmup ?horizon ?window ?oversubscribe
-    ?jobs ~trials ~seed () =
-  summarize
-    (ring_campaign_outcomes ~build ~perturb ?warmup ?horizon ?window
-       ?oversubscribe ?jobs ~trials ~seed ())
 
 type rsm_outcome = {
   base : outcome;
@@ -346,11 +338,11 @@ let rsm_publish ~campaign outcomes summary =
   end;
   summary
 
-let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
+let rsm_campaign ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
     ?(window = 400) ?(rate = 0.05) ?(serve_steps = 1_200) ?oversubscribe
     ?jobs ~trials ~seed () =
   let outcomes =
-    run_trials ?oversubscribe ?jobs ~trials ~seed
+    run_trials ?oversubscribe ?jobs ~trials
       ~warm:(fun () ->
         let service = build () in
         Ssos_net.Cluster.run_sharded service.Ssos_rsm.Service.cluster
@@ -359,7 +351,8 @@ let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
       ~restore:(fun (service, snapshot) ->
         Ssos_net.Cluster.restore service.Ssos_rsm.Service.cluster snapshot)
       ~counts:(fun (service, _) -> Ssos_rsm.Service.counts service)
-      (fun (service, _) seed ->
+      (fun (service, _) i ->
+        let seed = trial_seed seed i in
         let cluster = service.Ssos_rsm.Service.cluster in
         perturb (Ssx_faults.Rng.create seed) service;
         (* The perturbation may itself step the cluster (a message-fault
@@ -399,12 +392,6 @@ let rsm_campaign_outcomes ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
   in
   ignore (rsm_publish ~campaign:"rsm" outcomes (rsm_summarize outcomes));
   outcomes
-
-let rsm_campaign ~build ~perturb ?warmup ?horizon ?window ?rate ?serve_steps
-    ?oversubscribe ?jobs ~trials ~seed () =
-  rsm_summarize
-    (rsm_campaign_outcomes ~build ~perturb ?warmup ?horizon ?window ?rate
-       ?serve_steps ?oversubscribe ?jobs ~trials ~seed ())
 
 let scramble_processor rng system =
   let machine = system.Ssos.System.machine in

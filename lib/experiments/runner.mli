@@ -5,22 +5,22 @@
     inject a burst of random faults, run a recovery horizon, and judge
     the observation trace against a legality specification.
 
-    There is one trial engine, snapshot reset over a {!Pool} of
-    domains.  Each worker builds the system and runs the deterministic,
-    fault-free warmup once, captures the warmed state, and restores
-    that capture before every trial it runs instead of rebuilding.
-    This requires every piece of host-side device state to be
-    restorable from the capture (see {!Ssx.Machine.add_resettable});
-    all in-tree system builders satisfy it.  Summaries are
-    bit-identical for any [jobs], and equal to building and warming a
-    fresh system for every trial: [test/rebuild.ml] is that
-    rebuild-per-trial oracle, and the campaign tests compare each
-    family against it.
+    There is one trial engine, {!run_trials}: snapshot reset over a
+    {!Pool} of domains.  Each worker builds the system and runs the
+    deterministic, fault-free warmup once, captures the warmed state,
+    and restores that capture before every trial it runs instead of
+    rebuilding.  This requires every piece of host-side device state to
+    be restorable from the capture (see {!Ssx.Machine.add_resettable});
+    all in-tree system builders satisfy it.  Results are bit-identical
+    for any [jobs], and equal to building and warming a fresh system
+    for every trial: [test/rebuild.ml] is that rebuild-per-trial
+    oracle, and the campaign tests compare each family, and each
+    builder the evaluation tables reset, against it.
 
-    With {!Ssos_obs.Obs.enabled}, a campaign publishes what it counted
-    when it ends: its system's counts ({!Ssos.System.counts} and the
-    like) for the warm phase once, plus every trial's delta from
-    restore to judge, summed per worker; then per-campaign
+    With {!Ssos_obs.Obs.enabled}, the engine publishes what it counted
+    when it ends: the [counts] of its warm phase once, plus every
+    trial's delta from restore to the end of the trial, summed per
+    worker.  The campaign families then add per-campaign
     [campaign{id=…}] trial and recovery counters and a recovery-ticks
     histogram.  The rows are the same for any [jobs], except the
     [{host}]-marked block-table rows: each worker's table outlives its
@@ -60,6 +60,29 @@ type distribution = {
 val distribution : outcome list -> distribution option
 (** [None] when no trial recovered with a recovery time. *)
 
+val run_trials :
+  ?oversubscribe:bool ->
+  ?jobs:int ->
+  trials:int ->
+  warm:(unit -> 's) ->
+  restore:('s -> unit) ->
+  counts:('s -> Ssx.Counts.t) ->
+  ('s -> int -> 'a) ->
+  'a list
+(** [run_trials ~trials ~warm ~restore ~counts trial] is
+    [[trial s 0; …; trial s (trials - 1)]], in trial order.  Each
+    worker evaluates [warm ()] once, on its first trial (build, warm
+    up, capture), and calls [restore s] before every trial it runs;
+    [trial] gets the trial index and derives its own randomness from
+    it (the families use {!trial_seed}).  [restore] must return [s] to
+    the state [warm] left, so that a trial's result does not depend on
+    which trials its worker ran before it.  [counts s] reads the
+    counts of the system [s] holds (see {!Ssos.System.counts}).  [jobs]
+    defaults to {!Pool.default_jobs} (the [SSOS_JOBS] environment
+    variable, else the recommended domain count); the effective domain
+    count is clamped to the core count unless [oversubscribe] (see
+    {!Pool.run}). *)
+
 (** Trials over a heartbeat-observed system: the heartbeat stream must
     converge to [spec] within the horizon. *)
 val heartbeat_campaign :
@@ -75,10 +98,7 @@ val heartbeat_campaign :
   seed:int64 ->
   unit ->
   summary
-(** [jobs] defaults to {!Pool.default_jobs} (the [SSOS_JOBS]
-    environment variable, else the recommended domain count); the
-    effective domain count is clamped to the core count unless
-    [oversubscribe] (see {!Pool.run}). *)
+(** [jobs] and [oversubscribe] as in {!run_trials}. *)
 
 (** Trials over a §5.2 tiny-OS system: every process's private
     heartbeat stream must converge to its strict counter spec.  The
@@ -105,23 +125,6 @@ val sched_campaign :
     faults to individual nodes, or drive a whole message-fault phase
     (stepping the cluster itself); recovery is measured in {e cluster
     steps} from wherever the perturbation left the cluster. *)
-val ring_campaign_outcomes :
-  build:(unit -> Ssos_net.Net_ring.t) ->
-  perturb:(Ssx_faults.Rng.t -> Ssos_net.Net_ring.t -> unit) ->
-  ?warmup:int ->
-  ?horizon:int ->
-  ?window:int ->
-  ?oversubscribe:bool ->
-  ?jobs:int ->
-  trials:int ->
-  seed:int64 ->
-  unit ->
-  outcome list
-(** The full per-trial outcome list, in trial order — for callers that
-    need more than {!summarize}'s moments (e.g. an exact
-    {!distribution}).  Publishes campaign telemetry as a side effect,
-    exactly like {!ring_campaign} (which is [summarize] of this). *)
-
 val ring_campaign :
   build:(unit -> Ssos_net.Net_ring.t) ->
   perturb:(Ssx_faults.Rng.t -> Ssos_net.Net_ring.t -> unit) ->
@@ -133,13 +136,15 @@ val ring_campaign :
   trials:int ->
   seed:int64 ->
   unit ->
-  summary
-(** The reset is {!Ssos_net.Cluster.capture}/[restore], which covers
-    node machines (with their NIC queues), link state including the
-    mutable fault-model phase, the interleaving RNG and the step
-    counter — so summaries are bit-identical for any [jobs] count and
-    equal to rebuilding per trial, like the machine campaigns above.
-    Each trial steps its cluster on one shard. *)
+  outcome list
+(** The per-trial outcomes, in trial order: {!summarize} gives the
+    moments, {!distribution} the exact percentiles.  The reset is
+    {!Ssos_net.Cluster.capture}/[restore], which covers node machines
+    (with their NIC queues), link state including the mutable
+    fault-model phase, the interleaving RNG and the step counter — so
+    outcomes are bit-identical for any [jobs] count and equal to
+    rebuilding per trial, like the machine campaigns above.  Each trial
+    steps its cluster on one shard. *)
 
 (** {1 Replicated state machine campaigns}
 
@@ -168,23 +173,6 @@ type rsm_summary = {
 
 val rsm_summarize : rsm_outcome list -> rsm_summary
 
-val rsm_campaign_outcomes :
-  build:(unit -> Ssos_rsm.Service.t) ->
-  perturb:(Ssx_faults.Rng.t -> Ssos_rsm.Service.t -> unit) ->
-  ?warmup:int ->
-  ?horizon:int ->
-  ?window:int ->
-  ?rate:float ->
-  ?serve_steps:int ->
-  ?oversubscribe:bool ->
-  ?jobs:int ->
-  trials:int ->
-  seed:int64 ->
-  unit ->
-  rsm_outcome list
-(** Per-trial outcomes in trial order, telemetry published;
-    {!rsm_campaign} is [rsm_summarize] of this. *)
-
 val rsm_campaign :
   build:(unit -> Ssos_rsm.Service.t) ->
   perturb:(Ssx_faults.Rng.t -> Ssos_rsm.Service.t -> unit) ->
@@ -198,7 +186,7 @@ val rsm_campaign :
   trials:int ->
   seed:int64 ->
   unit ->
-  rsm_summary
+  rsm_outcome list
 (** Like {!ring_campaign}, with a serve phase appended to each trial:
     after the recovery horizon is judged, a seeded open-loop workload
     (probability [rate] of one request per node slot, default 0.05)
@@ -207,10 +195,10 @@ val rsm_campaign :
     ⌈[serve_steps] / n⌉ + 1 slots ({!Ssos_rsm.Workload.open_loop}'s
     [slots], what round-robin gives it), so a node an unfair daemon
     favours injects no more.  The request streams are derived from the
-    trial seed on a fixed side stream, so summaries are bit-identical
+    trial seed on a fixed side stream, so outcomes are bit-identical
     for any [jobs], and equal to rebuilding per trial — the same
-    guarantees as the other campaigns, extended to the traffic
-    counts. *)
+    guarantees as the other campaigns, extended to the traffic counts.
+    {!rsm_summarize} gives the summary. *)
 
 val trial_seed : int64 -> int -> int64
 (** Derive the seed of trial [i] from the master seed — a splitmix64

@@ -1,15 +1,14 @@
-(* Observability is published only after a fault has actually landed,
-   and never consumes randomness, so campaigns with metrics on replay
-   the exact fault streams of campaigns with metrics off. *)
-let publish tick fault =
+(* Counted only after a fault has actually landed, and never consuming
+   randomness, so campaigns with metrics on replay the exact fault
+   streams of campaigns with metrics off.  Counts only: the sums are
+   the same however a campaign's trials split across workers, where
+   one event per fault from every worker would not be. *)
+let publish fault =
   if Ssos_obs.Obs.enabled () then begin
     Ssos_obs.Obs.incr (Ssos_obs.Obs.counter "fault.injected");
     Ssos_obs.Obs.incr
       (Ssos_obs.Obs.counter
-         (Printf.sprintf "fault.injected{kind=%s}" (Fault.kind_name fault)));
-    Ssos_obs.Obs.event "fault.injected"
-      ~fields:
-        [ ("tick", string_of_int tick); ("fault", Fault.to_string fault) ]
+         (Printf.sprintf "fault.injected{kind=%s}" (Fault.kind_name fault)))
   end
 
 let run_poisson system ~rng ~space ~rate ~ticks =
@@ -27,9 +26,8 @@ let run_poisson system ~rng ~space ~rate ~ticks =
       ran := k;
       let fault = Fault.random rng space in
       if Fault.apply system fault then begin
-        let tick = Ssx.Machine.ticks machine in
-        publish tick fault;
-        landed := (tick, fault) :: !landed
+        publish fault;
+        landed := (Ssx.Machine.ticks machine, fault) :: !landed
       end
     end
   done;
@@ -65,9 +63,8 @@ let advance p ~steps =
       let system, space = p.p_targets.(target) in
       let fault = Fault.random p.p_rng space in
       if Fault.apply system fault then begin
-        let at = p.p_elapsed + s in
-        publish at fault;
-        landed := (at, target, fault) :: !landed
+        publish fault;
+        landed := (p.p_elapsed + s, target, fault) :: !landed
       end
     end
   done;
@@ -80,7 +77,7 @@ let inject_now system ~rng ~space n =
     else
       let fault = Fault.random rng space in
       if Fault.apply system fault then begin
-        publish (Ssx.Machine.ticks system.Fault.machine) fault;
+        publish fault;
         loop (k - 1) (fault :: acc)
       end
       else loop k acc

@@ -49,6 +49,7 @@ val process :
 val advance : process -> steps:int -> (int * int * Fault.t) list
 (** Cover [steps] more process steps, applying the faults that arrive;
     returns the landed arrivals as [(step, target, fault)], oldest
-    first (steps count from the process's creation).  Telemetry is
-    published per landed fault, exactly like {!run_poisson}, and never
-    consumes randomness. *)
+    first (steps count from the process's creation).  Every landed
+    fault counts into the [fault.injected] counters (and
+    [fault.injected{kind=…}]), exactly like {!run_poisson} and
+    {!inject_now}, without consuming randomness. *)

@@ -54,46 +54,28 @@ let base_image =
 
 (* --- trial state reset ------------------------------------------------ *)
 
-(* A machine reused across trials, with the page generations at which
-   its memory last matched [base_image].  A fresh record matches no
-   generation, so the first reset copies every page; later resets copy
-   back only the pages the previous trial (or its code load) touched. *)
-type trial_machine = { machine : Ssx.Machine.t; synced : int array }
+(* A machine reused across trials, and its state at the start of every
+   trial: [base_image] in memory, [sp] just below the code, [cs], [ds]
+   and [es] at the code segment, every other register and flag zero.
+   A trial restores that capture, which copies back only the pages the
+   previous trial (or its code load) touched, then loads its code. *)
+type trial_machine = { machine : Ssx.Machine.t; start : Ssx.Snapshot.t }
 
 let trial_machine ?jit () =
-  { machine = Ssx.Machine.create ?jit ();
-    synced = Array.make Ssx.Memory.page_count (-1) }
-
-let reset_machine { machine = m; synced } (p : Gen.program) =
-  let mem = Ssx.Machine.memory m in
-  ignore (Ssx.Memory.restore_pages mem ~image:base_image ~synced);
-  Ssx.Memory.load_image mem ~base:trial_code_base p.Gen.code;
-  let cpu = Ssx.Machine.cpu m in
-  let r = cpu.Ssx.Cpu.regs in
-  r.Ssx.Registers.ax <- 0;
-  r.Ssx.Registers.bx <- 0;
-  r.Ssx.Registers.cx <- 0;
-  r.Ssx.Registers.dx <- 0;
-  r.Ssx.Registers.si <- 0;
-  r.Ssx.Registers.di <- 0;
+  let machine = Ssx.Machine.create ?jit () in
+  Ssx.Memory.load_image (Ssx.Machine.memory machine) ~base:0 base_image;
+  let r = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
   r.Ssx.Registers.sp <- 0xF000;
-  r.Ssx.Registers.bp <- 0;
   r.Ssx.Registers.cs <- code_seg;
   r.Ssx.Registers.ds <- code_seg;
   r.Ssx.Registers.es <- code_seg;
-  r.Ssx.Registers.ss <- 0;
-  r.Ssx.Registers.fs <- 0;
-  r.Ssx.Registers.gs <- 0;
-  r.Ssx.Registers.ip <- 0;
   r.Ssx.Registers.psw <- 0;
-  r.Ssx.Registers.nmi_counter <- 0;
-  cpu.Ssx.Cpu.idtr <- 0;
-  cpu.Ssx.Cpu.nmi_pin <- false;
-  cpu.Ssx.Cpu.in_nmi <- false;
-  cpu.Ssx.Cpu.intr <- None;
-  cpu.Ssx.Cpu.reset_pin <- false;
-  cpu.Ssx.Cpu.halted <- false;
-  cpu.Ssx.Cpu.steps <- 0
+  { machine; start = Ssx.Snapshot.capture machine }
+
+let reset_machine { machine; start } (p : Gen.program) =
+  Ssx.Snapshot.restore start machine;
+  Ssx.Memory.load_image (Ssx.Machine.memory machine) ~base:trial_code_base
+    p.Gen.code
 
 let reset_ref (o : Ref_interp.t) (p : Gen.program) =
   Bytes.blit_string base_image 0 o.Ref_interp.mem 0

@@ -12,9 +12,12 @@ type t = {
    backlogs into drops; 600 leaves room for a backlog-draining pass. *)
 let default_ticks_per_slot = 600
 
+(* Client requests a replica's client NIC queues before it drops. *)
+let client_capacity = 8
+
 let build ?(n = 5) ?policy ?(ticks_per_slot = default_ticks_per_slot) ?latency
     ?edges
-    ?watchdog_period ?(capacity = 64) ?(client_capacity = 8) ?faults
+    ?watchdog_period ?(capacity = 64) ?faults
     ?jit ~seed () =
   if n < 2 then invalid_arg "Service.build: need at least two nodes";
   let systems =

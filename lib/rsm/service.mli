@@ -28,7 +28,6 @@ val build :
   ?edges:(int * int) list ->
   ?watchdog_period:int ->
   ?capacity:int ->
-  ?client_capacity:int ->
   ?faults:(src:int -> dst:int -> Ssos_net.Link.fault_model) ->
   ?jit:bool ->
   seed:int64 ->
@@ -40,10 +39,10 @@ val build :
     [ticks_per_slot] defaults to 600 — a replica pass (roughly 300–350
     ticks) is longer than a {!Ssos_net.Net_ring} pass, since it serves
     clients and retransmits a whole frame, and a slot must fit a full
-    pass plus a backlog-draining one.  [capacity] (default 64) bounds the cluster NIC RX
-    queue; [client_capacity] (default 8) the client NIC RX queue —
-    requests arriving into a full queue are dropped and counted
-    ({!Ssos_net.Nic.stats}).
+    pass plus a backlog-draining one.  [capacity] (default 64) bounds the
+    cluster NIC RX queue; the client NIC RX queue holds 8
+    requests — requests arriving into a full queue are dropped and
+    counted ({!Ssos_net.Nic.stats}).
 
     The bounded-tag protocol stabilizes for [n <= Wire.k] (= 8); larger
     clusters still run deterministically for throughput measurement,

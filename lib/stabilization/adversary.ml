@@ -13,19 +13,14 @@ type t = {
 
 let choose t view = t.choose view
 
-let custom ~name ?(stateful = false) choose = { name; stateful; choose }
-
-let starve ?(release = max_int) ~victim () =
+let starve ~victim () =
   if victim < 0 then invalid_arg "Adversary.starve: victim";
   let choose v =
     if victim >= v.size then invalid_arg "Adversary.starve: victim";
-    if v.now >= release then Some (v.now mod v.size)
-    else begin
-      (* Round-robin over the other size-1 nodes, skipping the victim
-         by shifting the indices at or above it up by one. *)
-      let r = v.now mod (v.size - 1) in
-      Some (if r >= victim then r + 1 else r)
-    end
+    (* Round-robin over the other size-1 nodes, skipping the victim by
+       shifting the indices at or above it up by one. *)
+    let r = v.now mod (v.size - 1) in
+    Some (if r >= victim then r + 1 else r)
   in
   { name = Printf.sprintf "starve{%d}" victim; stateful = false; choose }
 

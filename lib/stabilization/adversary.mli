@@ -50,11 +50,9 @@ type t = {
 
 val choose : t -> view -> int option
 
-val starve : ?release:int -> victim:int -> unit -> t
+val starve : victim:int -> unit -> t
 (** Round-robin over every node except [victim], which is never
-    scheduled before step [release] (default: never).  From [release]
-    on, plain round-robin over all nodes — the "unsupportive
-    environment turns supportive" experiment. *)
+    scheduled: an unsupportive environment. *)
 
 val crash : ?period:int -> down_from:int -> down_for:int -> victim:int ->
   unit -> t
@@ -84,7 +82,3 @@ val adaptive : ?table:Model.table -> k:int -> unit -> t
     config) — no RNG draws, no hidden daemon state — so campaigns
     under snapshot-restore and any jobs partitioning replay
     bit-identically. *)
-
-val custom : name:string -> ?stateful:bool -> (view -> int option) -> t
-(** Escape hatch for tests and experiments.  [stateful] defaults to
-    false — set it if the function reads [view.state]. *)

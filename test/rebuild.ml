@@ -8,7 +8,8 @@
    system and cluster steppers, [Injector.inject_now], the convergence
    judges and the rsm [Workload]), so it shares no trial code with the
    engine under test.  Each trial function takes its trial seed last
-   and returns the outcome type of the matching campaign. *)
+   and returns the outcome type of the matching campaign; [trials]
+   runs the evaluation tables' own index-keyed trials. *)
 
 module Runner = Ssos_experiments.Runner
 module Rng = Ssx_faults.Rng
@@ -23,6 +24,15 @@ module Workload = Ssos_rsm.Workload
    order, one at a time. *)
 let campaign ~trials ~seed trial =
   List.init trials (fun i -> trial (Runner.trial_seed seed i))
+
+(* A table's own trials, which take their index: trial [i] of [trials],
+   in order, each on a freshly built system whose [machine] has run
+   [warmup] fault-free ticks. *)
+let trials ~trials ~build ~machine ~warmup trial =
+  List.init trials (fun i ->
+      let system = build () in
+      Ssx.Machine.run (machine system) ~ticks:warmup;
+      trial system i)
 
 let outcome ~faults_end verdict =
   { Runner.recovered = Convergence.converged verdict;

@@ -30,9 +30,10 @@ let daemon_build ~policy () =
   Net_ring.build ~n:4 ~policy ~faults:lossy_faults ~seed:(Rng.derive 91L 7) ()
 
 let daemon_campaign ~policy ~jobs () =
-  Runner.ring_campaign ~build:(daemon_build ~policy)
-    ~perturb:Net_ring.corrupt ~warmup:200 ~horizon:1_500 ~window:400
-    ~oversubscribe:true ~jobs ~trials:4 ~seed:0xADL ()
+  Runner.summarize
+    (Runner.ring_campaign ~build:(daemon_build ~policy)
+       ~perturb:Net_ring.corrupt ~warmup:200 ~horizon:1_500 ~window:400
+       ~oversubscribe:true ~jobs ~trials:4 ~seed:0xADL ())
 
 let test_campaign_invariance_under_daemons () =
   (* The jobs and rebuild-oracle differentials of test_campaigns.ml,
@@ -141,7 +142,7 @@ let test_adversary_bites () =
     let build () =
       Net_ring.build ~n:4 ~policy ~seed:(Rng.derive 94L 1) ()
     in
-    Runner.ring_campaign_outcomes ~build ~perturb:Net_ring.corrupt
+    Runner.ring_campaign ~build ~perturb:Net_ring.corrupt
       ~warmup:200 ~horizon:3_000 ~window:500 ~trials:6 ~seed:94L ()
   in
   let dist policy =

@@ -230,9 +230,10 @@ let ring_summary ~jobs =
         Ssos_net.Link.lossy ~drop:0.1 ~max_delay:2 ())
       ~seed:77L ()
   in
-  Ssos_experiments.Runner.ring_campaign ~build
-    ~perturb:Ssos_net.Net_ring.corrupt ~horizon:8_000 ~window:600
-    ~oversubscribe:true ~jobs ~trials:3 ~seed:5L ()
+  Ssos_experiments.Runner.summarize
+    (Ssos_experiments.Runner.ring_campaign ~build
+       ~perturb:Ssos_net.Net_ring.corrupt ~horizon:8_000 ~window:600
+       ~oversubscribe:true ~jobs ~trials:3 ~seed:5L ())
 
 let test_ring_campaign_jobs_differential () =
   let reference = ring_summary ~jobs:1 in
@@ -258,9 +259,10 @@ let rsm_build () =
     ~seed:31L ()
 
 let rsm_summary_run ?(trials = 2) ~jobs () =
-  Ssos_experiments.Runner.rsm_campaign ~build:rsm_build
-    ~perturb:Ssos_rsm.Service.corrupt ~oversubscribe:true ~jobs ~trials
-    ~seed:13L ()
+  Ssos_experiments.Runner.rsm_summarize
+    (Ssos_experiments.Runner.rsm_campaign ~build:rsm_build
+       ~perturb:Ssos_rsm.Service.corrupt ~oversubscribe:true ~jobs ~trials
+       ~seed:13L ())
 
 let test_rsm_campaign_differential () =
   let reference = rsm_summary_run ~jobs:1 () in
@@ -287,6 +289,169 @@ let test_rsm_campaign_rebuild_oracle () =
     reference.Ssos_experiments.Runner.core.Ssos_experiments.Runner.trials;
   check_bool "snapshot reset = rebuild" true
     (rsm_summary_run ~trials:3 ~jobs:1 () = reference)
+
+(* ------------------------------------------- the tables' builders *)
+
+(* Besides the campaign families, the tables run their own trials on
+   [Runner.run_trials] (T2, T5, T7, T8, T11, T12, T13), over builders no
+   family resets.  Each case runs a short trial shaped like its table's
+   through the engine, at jobs 1 (every trial after the first starts
+   from a restore of the machine that ran the one before) and at jobs
+   2, against building a system per trial.  A trial returns what its
+   table reads plus a digest of the final machine state. *)
+let check_engine_against_rebuild label ~trials ~build ~machine ~counts
+    ~warmup trial =
+  let engine jobs =
+    Ssos_experiments.Runner.run_trials ~oversubscribe:true ~jobs ~trials
+      ~warm:(fun () ->
+        let system = build () in
+        Ssx.Machine.run (machine system) ~ticks:warmup;
+        (system, Ssx.Snapshot.capture (machine system)))
+      ~restore:(fun (system, snapshot) ->
+        Ssx.Snapshot.restore snapshot (machine system))
+      ~counts:(fun (system, _) -> counts system)
+      (fun (system, _) i -> trial system i)
+  in
+  let reference = Rebuild.trials ~trials ~build ~machine ~warmup trial in
+  check_bool (label ^ ": jobs 1 = rebuild") true (engine 1 = reference);
+  check_bool (label ^ ": jobs 2 = rebuild") true (engine 2 = reference)
+
+let final_digest machine = Ssx.Snapshot.digest (Ssx.Snapshot.capture machine)
+
+let primitive_machine sched = sched.Ssos.Primitive_sched.machine
+
+let primitive_counts sched =
+  Ssx.Machine.counts sched.Ssos.Primitive_sched.machine
+
+let beat_counts heartbeats = Array.map Ssx_devices.Heartbeat.count heartbeats
+
+let test_primitive_sched_against_rebuild () =
+  (* T13's sweep: the booted scheduler from an arbitrary cs:ip. *)
+  check_engine_against_rebuild "ip sweep" ~trials:4
+    ~build:(fun () -> Ssos.Primitive_sched.build ())
+    ~machine:primitive_machine ~counts:primitive_counts ~warmup:0
+    (fun sched i ->
+      let machine = sched.Ssos.Primitive_sched.machine in
+      let regs = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
+      regs.Ssx.Registers.cs <- Ssos.Layout.rom_segment;
+      regs.Ssx.Registers.ip <- (i * 0x3F1D) land 0xFFFF;
+      let ran =
+        Ssx.Machine.run_until machine
+          ~limit:(4 * Ssos.Primitive_sched.region_size) (fun _ ->
+            Array.for_all
+              (fun hb -> Ssx_devices.Heartbeat.count hb > 0)
+              sched.Ssos.Primitive_sched.heartbeats)
+      in
+      Ssx.Machine.run machine ~ticks:2_000;
+      (ran, beat_counts sched.Ssos.Primitive_sched.heartbeats, final_digest machine));
+  (* T5's burst: warm, 30 faults, run on, judge liveness. *)
+  check_engine_against_rebuild "fault burst" ~trials:4
+    ~build:(fun () -> Ssos.Primitive_sched.build ())
+    ~machine:primitive_machine ~counts:primitive_counts ~warmup:10_000
+    (fun sched i ->
+      let machine = sched.Ssos.Primitive_sched.machine in
+      ignore
+        (Ssx_faults.Injector.inject_now
+           (Ssos.Primitive_sched.fault_system sched)
+           ~rng:(Ssx_faults.Rng.create (Ssos_experiments.Runner.trial_seed 5L i))
+           ~space:(Ssos.Primitive_sched.fault_space sched)
+           30);
+      Ssx.Machine.run machine ~ticks:20_000;
+      ( Array.map Ssx_devices.Heartbeat.last sched.Ssos.Primitive_sched.heartbeats,
+        beat_counts sched.Ssos.Primitive_sched.heartbeats,
+        final_digest machine ))
+
+let test_monitor_against_rebuild () =
+  (* T8's shape, alternating a fault the predicates detect (task index
+     out of range) with one they never see (a wild ip): a detection log
+     the restore failed to rewind would show up in the odd trials. *)
+  let spec = Ssos.Monitor.spec () in
+  check_engine_against_rebuild "monitor" ~trials:4
+    ~build:(fun () -> Ssos.Monitor.build ())
+    ~machine:(fun monitor -> monitor.Ssos.Monitor.system.Ssos.System.machine)
+    ~counts:(fun monitor -> Ssos.System.counts monitor.Ssos.Monitor.system)
+    ~warmup:30_000
+    (fun monitor i ->
+      let system = monitor.Ssos.Monitor.system in
+      let fault =
+        if i mod 2 = 0 then
+          Ssx_faults.Fault.Ram_byte { addr = Ssos.Guest.task_index_addr; value = 0xEE }
+        else Ssx_faults.Fault.Ip ((i * 0x2B6D) land 0xFFFF)
+      in
+      ignore (Ssx_faults.Fault.apply (Ssos.System.fault_system system) fault);
+      Ssos.System.run system ~ticks:120_000;
+      ( Rebuild.outcome ~faults_end:30_000
+          (Ssx_stab.Convergence.judge ~spec
+             ~samples:
+               (Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
+             ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)),
+        Ssos.Monitor.detections monitor,
+        final_digest system.Ssos.System.machine ));
+  (* And the log really alternates, so the case can see a leak. *)
+  let detected =
+    Rebuild.trials ~trials:2
+      ~build:(fun () -> Ssos.Monitor.build ())
+      ~machine:(fun monitor -> monitor.Ssos.Monitor.system.Ssos.System.machine)
+      ~warmup:30_000
+      (fun monitor i ->
+        let system = monitor.Ssos.Monitor.system in
+        ignore
+          (Ssx_faults.Fault.apply (Ssos.System.fault_system system)
+             (if i = 0 then
+                Ssx_faults.Fault.Ram_byte
+                  { addr = Ssos.Guest.task_index_addr; value = 0xEE }
+              else Ssx_faults.Fault.Ip 0x2B6D));
+        Ssos.System.run system ~ticks:120_000;
+        Ssos.Monitor.detections monitor <> [])
+  in
+  check_bool "a detected and an undetected trial" true (detected = [ true; false ])
+
+let test_token_os_against_rebuild () =
+  (* T11's shape: warm, corrupt processor, scheduler and ring together,
+     run on. *)
+  let n = 4 in
+  check_engine_against_rebuild "token ring OS" ~trials:3
+    ~build:(fun () -> Ssos.Token_os.build ~n ())
+    ~machine:(fun sched -> sched.Ssos.Sched.machine)
+    ~counts:Ssos.Sched.counts ~warmup:150_000
+    (fun sched i ->
+      let rng =
+        Ssx_faults.Rng.create
+          (Ssos_experiments.Runner.trial_seed 11L (i + (n * 1000)))
+      in
+      ignore
+        (Ssx_faults.Injector.inject_now (Ssos.Sched.fault_system sched) ~rng
+           ~space:(Ssos.Sched.fault_space sched) 20);
+      for m = 0 to n - 1 do
+        Ssos.Token_os.corrupt_state sched m
+          (Ssx_faults.Rng.int rng Ssos.Token_os.k)
+      done;
+      Ssx.Machine.run sched.Ssos.Sched.machine ~ticks:300_000;
+      ( Ssos.Token_os.states sched,
+        beat_counts sched.Ssos.Sched.heartbeats,
+        final_digest sched.Ssos.Sched.machine ))
+
+let test_petted_watchdog_against_rebuild () =
+  (* T7's baseline: the watchdog that only fires when the guest stops
+     kicking it, under bursts that also hit the watchdog's state. *)
+  let spec = Ssos.Reinstall.weak_spec () in
+  check_engine_against_rebuild "petted watchdog" ~trials:4
+    ~build:(fun () -> Ssos.Baselines.petted_watchdog ())
+    ~machine:(fun system -> system.Ssos.System.machine)
+    ~counts:Ssos.System.counts ~warmup:30_000
+    (fun system i ->
+      ignore
+        (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system)
+           ~rng:(Ssx_faults.Rng.create (Ssos_experiments.Runner.trial_seed 7L i))
+           ~space:Ssos.System.default_fault_space 10);
+      Ssos.System.run system ~ticks:150_000;
+      ( Rebuild.outcome ~faults_end:30_000
+          (Ssx_stab.Convergence.judge ~spec
+             ~samples:
+               (Ssx_devices.Heartbeat.samples system.Ssos.System.heartbeat)
+             ~end_tick:(Ssx.Machine.ticks system.Ssos.System.machine)),
+        Ssx_devices.Heartbeat.count system.Ssos.System.heartbeat,
+        final_digest system.Ssos.System.machine ))
 
 (* ------------------------------------ metrics are a function of the run *)
 
@@ -371,5 +536,13 @@ let suite =
     case "rsm campaign: jobs differential" test_rsm_campaign_differential;
     case "rsm campaign: snapshot reset against rebuild oracle"
       test_rsm_campaign_rebuild_oracle;
+    case "primitive scheduler trials (T5, T13): engine against rebuild oracle"
+      test_primitive_sched_against_rebuild;
+    case "monitor trials with detection log (T8): engine against rebuild oracle"
+      test_monitor_against_rebuild;
+    case "token ring OS trials (T11): engine against rebuild oracle"
+      test_token_os_against_rebuild;
+    case "petted watchdog trials (T7): engine against rebuild oracle"
+      test_petted_watchdog_against_rebuild;
     case "metrics are a function of the run: jobs and shards"
       test_metrics_function_of_run ]

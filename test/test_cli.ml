@@ -84,12 +84,14 @@ let test_metrics_table_dump () =
   check_int "exit 0" 0 code;
   check_bool "table mentions machine.ticks" true (contains out "machine.ticks")
 
-(* A campaign's --metrics rows are a function of the run: the same at
-   --jobs 1 and --jobs 2, once the host's rows (names ending [{host}])
-   and the event ring are set aside.  Workers that each counted their
-   own warmup would differ by one 30,000-tick warmup. *)
+(* A campaign's --metrics dump is a function of the run: its rows and
+   its events are the same at --jobs 1 and in several --jobs 2 runs,
+   once the host's rows (names ending [{host}]) are set aside.
+   Workers that each counted their own warmup would differ by one
+   30,000-tick warmup; one event per landed fault from every worker
+   filled the bounded event ring in whatever order the workers ran. *)
 let test_campaign_metrics_jobs_invariant () =
-  let rows jobs =
+  let dump jobs =
     let code, out, _err =
       run_cli
         (Printf.sprintf
@@ -100,14 +102,21 @@ let test_campaign_metrics_jobs_invariant () =
     check_int (Printf.sprintf "exit 0 at jobs %d" jobs) 0 code;
     String.split_on_char '\n' out
     |> List.filter (fun l ->
-           String.starts_with ~prefix:{|{"name": |} l
+           (String.starts_with ~prefix:{|{"name": |} l
+           || String.starts_with ~prefix:{|{"kind": "event"|} l)
            && not (contains l {|{host}"|}))
   in
-  let one = rows 1 and two = rows 2 in
+  let one = dump 1 in
   check_bool "machine.ticks published" true
     (List.exists (fun l -> contains l {|"name": "machine.ticks"|}) one);
-  check_int "same row count at jobs 2" (List.length one) (List.length two);
-  List.iter2 (fun a b -> Alcotest.(check string) "same row at jobs 2" a b) one two
+  check_bool "events published" true
+    (List.exists (fun l -> contains l {|"kind": "event"|}) one);
+  for run = 1 to 3 do
+    let two = dump 2 in
+    let label = Printf.sprintf "jobs 2, run %d" run in
+    check_int (label ^ ": same line count") (List.length one) (List.length two);
+    List.iter2 (fun a b -> Alcotest.(check string) label a b) one two
+  done
 
 (* serve: the closed loop completes a full detect/repair cycle and
    reports the SLO verdict in its exit status. *)
@@ -160,7 +169,7 @@ let suite =
     case "unknown experiment id is rejected" test_unknown_experiment_rejected;
     case "--metrics=json dumps a parseable registry" test_metrics_json_dump;
     case "--metrics dumps the pretty table" test_metrics_table_dump;
-    case "campaign --metrics: the same rows at jobs 1 and 2"
+    case "campaign --metrics: the same rows and events at jobs 1 and 2"
       test_campaign_metrics_jobs_invariant;
     case "serve completes a detect/repair cycle" test_serve_full_cycle;
     case "serve exits non-zero on SLO breach"

@@ -83,7 +83,11 @@ let test_trial_seeds_distinct () =
 
 let test_small_t9_runs () =
   (* The cheapest full experiment must execute end-to-end. *)
-  let table = Ssos_experiments.Experiments.t9_weak_vs_strict () in
+  let table =
+    match Ssos_experiments.Experiments.find "T9" with
+    | Some run -> run ()
+    | None -> Alcotest.fail "T9 is registered"
+  in
   check_int "four designs" 4 (List.length table.Ssos_experiments.Table.rows);
   match table.Ssos_experiments.Table.rows with
   | [ restart; _; monitor; tiny ] ->

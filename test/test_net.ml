@@ -972,9 +972,10 @@ let campaign_perturb rng ring =
   Array.iter (fun l -> (Link.faults l).Link.drop <- 0.1) links
 
 let campaign ~jobs () =
-  Ssos_experiments.Runner.ring_campaign ~build:campaign_build
-    ~perturb:campaign_perturb ~warmup:150 ~horizon:1_500 ~window:500
-    ~oversubscribe:true ~jobs ~trials:6 ~seed:71L ()
+  Ssos_experiments.Runner.summarize
+    (Ssos_experiments.Runner.ring_campaign ~build:campaign_build
+       ~perturb:campaign_perturb ~warmup:150 ~horizon:1_500 ~window:500
+       ~oversubscribe:true ~jobs ~trials:6 ~seed:71L ())
 
 let test_campaign_jobs_invariance () =
   (* Acceptance: the same campaign is bit-identical under jobs:1 and
