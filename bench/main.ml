@@ -10,8 +10,8 @@
      main.exe            full run; prints the tables and writes
                          BENCH_machine.json, BENCH_experiments.json,
                          BENCH_net.json, BENCH_rsm.json,
-                         BENCH_fuzz.json, BENCH_adversary.json and
-                         BENCH_obs.json to the current directory
+                         BENCH_fuzz.json and BENCH_adversary.json to
+                         the current directory
      main.exe --smoke    quick harness exercise: short machine and
                          cluster campaign pairs + one short
                          quota-limited Bechamel pass, no tables and no
@@ -29,11 +29,12 @@ let run_tables () =
 
 (* ------------------------------------------------- campaign engine *)
 
-(* Host-side timing goes through the obs span path: [timed name f]
-   returns [f ()]'s result and the elapsed nanoseconds, and — when
-   metrics are enabled — records a [span.<name>-ns] histogram in the
-   shared registry.  Same timing code as the CLI's [--metrics] runs. *)
-let timed = Ssos_obs.Obs.timed
+(* Host-side timing: [timed f] returns [f ()]'s result and the elapsed
+   nanoseconds. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let result = f () in
+  (result, (Unix.gettimeofday () -. t0) *. 1e9)
 
 (* Domains for the jobs pairs: two where the host has them.  A jobs
    count above the core count only measures oversubscription. *)
@@ -63,12 +64,8 @@ let campaign_pair () =
   in
   let jobs_n = Printf.sprintf "jobs%d" pair_jobs in
   Format.printf "== Campaign engine (T1-style, %d trials) ==@." trials;
-  let reset_summary, reset_ns =
-    timed "campaign-t1-reset-jobs1" (run_campaign ~jobs:1)
-  in
-  let par_summary, par_ns =
-    timed ("campaign-t1-reset-" ^ jobs_n) (run_campaign ~jobs:pair_jobs)
-  in
+  let reset_summary, reset_ns = timed (run_campaign ~jobs:1) in
+  let par_summary, par_ns = timed (run_campaign ~jobs:pair_jobs) in
   let identical = reset_summary = par_summary in
   Format.printf "  snapshot reset, jobs:1         %12.0f ns@." reset_ns;
   Format.printf "  snapshot reset, jobs:%d         %12.0f ns@." pair_jobs
@@ -84,7 +81,7 @@ let campaign_pair () =
      horizon run), which copies back the pages that trial dirtied. *)
   let rounds = if smoke then 3 else 10 in
   let _, rebuild_total =
-    timed "trial-rebuild-warmup" (fun () ->
+    timed (fun () ->
         for _ = 1 to rounds do
           let system = build () in
           Ssos.System.run system ~ticks:warmup
@@ -102,9 +99,7 @@ let campaign_pair () =
       (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system) ~rng
          ~space burst);
     Ssos.System.run system ~ticks:horizon;
-    let (), ns =
-      timed "trial-reset" (fun () -> Ssx.Snapshot.restore snapshot machine)
-    in
+    let (), ns = timed (fun () -> Ssx.Snapshot.restore snapshot machine) in
     reset_total := !reset_total +. ns
   done;
   let reset_trial_ns = !reset_total /. float_of_int rounds in
@@ -144,7 +139,7 @@ let storm_split () =
   for i = 0 to trials - 1 do
     let exceptions = counters.Ssx.Tick_counters.exceptions in
     let recovered, ns =
-      timed "campaign-t1-split-trial" (fun () ->
+      timed (fun () ->
           Ssx.Snapshot.restore snapshot machine;
           ignore
             (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system)
@@ -186,11 +181,11 @@ let storm_split () =
    build and warmup. *)
 let net_bench () =
   let steps = if smoke then 600 else 6_000 in
-  let throughput ~faults ~span label =
+  let throughput ~faults label =
     let ring = Ssos_net.Net_ring.build ~n:4 ?faults ~seed:7L () in
     Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps:200;
     let _, ns =
-      timed span (fun () ->
+      timed (fun () ->
           Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps)
     in
     let per_sec = float_of_int steps /. (ns /. 1e9) in
@@ -198,14 +193,14 @@ let net_bench () =
     per_sec
   in
   Format.printf "== Network cluster (4-node token ring, %d steps) ==@." steps;
-  let benign = throughput ~faults:None ~span:"cluster-benign" "benign links" in
+  let benign = throughput ~faults:None "benign links" in
   let lossy =
     throughput
       ~faults:
         (Some
            (fun ~src:_ ~dst:_ ->
              Ssos_net.Link.lossy ~drop:0.2 ~max_delay:2 ()))
-      ~span:"cluster-lossy" "lossy links (drop 0.2)"
+      "lossy links (drop 0.2)"
   in
   let trials = if smoke then 4 else 12 in
   let build () = Ssos_net.Net_ring.build ~n:4 ~seed:7L () in
@@ -217,12 +212,8 @@ let net_bench () =
          ~warmup ~horizon ~jobs ~trials ~seed:2L ())
   in
   let jobs_n = Printf.sprintf "jobs%d" pair_jobs in
-  let reset_summary, reset_ns =
-    timed "ring-campaign-reset-jobs1" (run_campaign ~jobs:1)
-  in
-  let par_summary, par_ns =
-    timed ("ring-campaign-reset-" ^ jobs_n) (run_campaign ~jobs:pair_jobs)
-  in
+  let reset_summary, reset_ns = timed (run_campaign ~jobs:1) in
+  let par_summary, par_ns = timed (run_campaign ~jobs:pair_jobs) in
   let identical = reset_summary = par_summary in
   Format.printf "  ring campaign reset (jobs:1)   %12.0f ns@." reset_ns;
   Format.printf "  ring campaign reset (jobs:%d)   %12.0f ns@." pair_jobs
@@ -235,7 +226,7 @@ let net_bench () =
      perturbation, then the horizon). *)
   let rounds = if smoke then 3 else 10 in
   let _, rebuild_total =
-    timed "ring-trial-rebuild-warmup" (fun () ->
+    timed (fun () ->
         for _ = 1 to rounds do
           let ring = build () in
           Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster
@@ -254,7 +245,7 @@ let net_bench () =
       ring;
     Ssos_net.Cluster.run_sharded cluster ~steps:horizon;
     let (), ns =
-      timed "ring-trial-reset" (fun () ->
+      timed (fun () ->
           Ssos_net.Cluster.restore cluster snapshot)
     in
     reset_total := !reset_total +. ns
@@ -298,21 +289,22 @@ let net_scale_bench () =
   let rows =
     List.concat_map
       (fun n ->
-        let throughput label ~shards ~jobs =
+        let throughput ~shards ~jobs =
           let best = ref infinity and digest = ref "" in
           for _ = 1 to reps do
             let ring =
               Ssos_net.Net_ring.build ~n ~ticks_per_slot:8 ~latency:32
-                ~jit:false ~seed:11L ()
+                ~seed:11L ()
             in
+            Array.iter
+              (fun sched -> Ssx.Machine.set_jit sched.Ssos.Sched.machine false)
+              ring.Ssos_net.Net_ring.systems;
             let cluster = ring.Ssos_net.Net_ring.cluster in
             let run ~steps =
               Ssos_net.Cluster.run_sharded ~shards ~jobs cluster ~steps
             in
             run ~steps:64;
-            let (), ns =
-              timed ("cluster-scale-" ^ label) (fun () -> run ~steps)
-            in
+            let (), ns = timed (fun () -> run ~steps) in
             if ns < !best then best := ns;
             digest := Ssos_net.Cluster.digest cluster
           done;
@@ -320,8 +312,8 @@ let net_scale_bench () =
         in
         let one_label = Printf.sprintf "n%d-shards1" n in
         let par_label = Printf.sprintf "n%d-shards%d-jobs%d" n shards jobs in
-        let one, one_digest = throughput one_label ~shards:1 ~jobs:1 in
-        let par, par_digest = throughput par_label ~shards ~jobs in
+        let one, one_digest = throughput ~shards:1 ~jobs:1 in
+        let par, par_digest = throughput ~shards ~jobs in
         Format.printf
           "  n=%-5d shards:1 %10.0f steps/sec   shards:%d jobs:%d %10.0f \
            steps/sec   %5.2fx   digests %s@."
@@ -365,11 +357,7 @@ let rsm_bench () =
             ~seed:22L service
         in
         Ssos_rsm.Workload.discard wl;
-        let (), ns =
-          timed
-            (Printf.sprintf "rsm-serve-n%d" n)
-            (fun () -> Ssos_rsm.Workload.run wl ~steps)
-        in
+        let (), ns = timed (fun () -> Ssos_rsm.Workload.run wl ~steps) in
         let steps_per_sec = float_of_int steps /. (ns /. 1e9) in
         let committed = Ssos_rsm.Workload.committed wl in
         let requests_per_sec = float_of_int committed /. (ns /. 1e9) in
@@ -393,9 +381,7 @@ let rsm_bench () =
     in
     Ssos_rsm.Workload.discard wl;
     let (), ns =
-      timed
-        (Printf.sprintf "rsm-serve-shards%d" shards)
-        (fun () ->
+      timed (fun () ->
           Ssos_rsm.Workload.run_epochs ~shards wl ~epoch:steps ~steps
             ~on_epoch:ignore)
     in
@@ -428,13 +414,13 @@ let rsm_bench () =
 let fuzz_bench () =
   let iters = if smoke then 300 else 2_000 in
   Format.printf "== Differential fuzzer (%d programs, seed 9) ==@." iters;
-  let run ~jit ~span jobs =
-    timed span (fun () -> Ssx_fuzz.Fuzz_loop.run ~jobs ~jit ~seed:9L ~iters ())
+  let run ~jit jobs =
+    timed (fun () -> Ssx_fuzz.Fuzz_loop.run ~jobs ~jit ~seed:9L ~iters ())
   in
   let jobs_n = Printf.sprintf "jobs%d" pair_jobs in
-  let seq_summary, seq_ns = run ~jit:true ~span:"fuzz-jobs1" 1 in
-  let par_summary, par_ns = run ~jit:true ~span:("fuzz-" ^ jobs_n) pair_jobs in
-  let nojit_summary, nojit_ns = run ~jit:false ~span:"fuzz-nojit" 1 in
+  let seq_summary, seq_ns = run ~jit:true 1 in
+  let par_summary, par_ns = run ~jit:true pair_jobs in
+  let nojit_summary, nojit_ns = run ~jit:false 1 in
   let rate ns = float_of_int iters /. (ns /. 1e9) in
   let tick_rate summary ns =
     float_of_int summary.Ssx_fuzz.Fuzz_loop.total_ticks /. (ns /. 1e9)
@@ -479,7 +465,7 @@ let adversary_bench () =
   let n, k = if smoke then (4, 5) else (6, 7) in
   let table = ref None in
   let (), analyze_ns =
-    timed "model-analyze" (fun () ->
+    timed (fun () ->
         table := Some (Ssx_stab.Model.analyze ~n ~k))
   in
   let tb = Option.get !table in
@@ -493,11 +479,11 @@ let adversary_bench () =
     (Ssx_stab.Model.worst_bound tb)
     (Ssx_stab.Model.divergent tb);
   let steps = if smoke then 600 else 6_000 in
-  let throughput label policy span =
+  let throughput label policy =
     let ring = Ssos_net.Net_ring.build ~n:4 ~policy ~seed:31L () in
     Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps:200;
     let (), ns =
-      timed span (fun () ->
+      timed (fun () ->
           Ssos_net.Cluster.run_sharded ring.Ssos_net.Net_ring.cluster ~steps)
     in
     let per_sec = float_of_int steps /. (ns /. 1e9) in
@@ -506,13 +492,11 @@ let adversary_bench () =
   in
   let rr =
     throughput "round-robin baseline" Ssos_net.Cluster.Round_robin
-      "adversary-ring-rr"
   in
   let adaptive =
     throughput "adaptive daemon"
       (Ssos_net.Cluster.Daemon
          (Ssx_stab.Adversary.adaptive ~k:Ssos_net.Net_ring.k ()))
-      "adversary-ring-adaptive"
   in
   Format.printf "  adaptive daemon overhead:      %11.2fx@.@."
     (rr /. adaptive);
@@ -623,11 +607,9 @@ let design_costs () =
   let tick_ns =
     min_interleaved ~rounds (Array.length slots) (fun slot ->
         let machine, snapshot = warmed.(slot) in
-        let name, _, ticks = slots.(slot) in
+        let _, _, ticks = slots.(slot) in
         Ssx.Snapshot.restore snapshot machine;
-        let (), ns =
-          timed name (fun () -> Ssx.Machine.run machine ~ticks)
-        in
+        let (), ns = timed (fun () -> Ssx.Machine.run machine ~ticks) in
         ns /. float_of_int ticks)
   in
   let trials = if smoke then 4 else 100 in
@@ -640,7 +622,7 @@ let design_costs () =
     min_interleaved ~rounds:campaign_rounds 2 (fun slot ->
         let name, build = campaigns.(slot) in
         let summary, ns =
-          timed ("campaign-trial-" ^ name) (fun () ->
+          timed (fun () ->
               Ssos_experiments.Runner.heartbeat_campaign ~build
                 ~space:Ssos.System.default_fault_space
                 ~spec:(Ssos.Reinstall.weak_spec ())
@@ -696,7 +678,8 @@ let micro_tests () =
      the OS past its boot path so both benchmarks measure the
      steady-state watchdog/reinstall loop. *)
   let warmed ~jit =
-    let system = Ssos.Reinstall.build ~jit () in
+    let system = Ssos.Reinstall.build () in
+    Ssx.Machine.set_jit system.Ssos.System.machine jit;
     Ssos.System.run system ~ticks:30_000;
     system
   in
@@ -804,49 +787,6 @@ let run_micro () =
   Format.printf "@.";
   rows
 
-(* ----------------------------------------------------- observability *)
-
-(* Metrics-dump smoke: with metrics enabled, a one-trial campaign must
-   publish every family the CLI's [--metrics] dump promises — machine,
-   device, fault, campaign and pool families all present.  Resets the
-   registry and switch afterwards so the rest of the harness publishes
-   nothing. *)
-let obs_dump_smoke () =
-  let open Ssos_obs in
-  Obs.reset ();
-  Obs.set_enabled true;
-  let (_ : Ssos_experiments.Runner.summary) =
-    Ssos_experiments.Runner.heartbeat_campaign
-      ~build:(fun () -> Ssos.Reinstall.build ())
-      ~space:Ssos.System.default_fault_space
-      ~spec:(Ssos.Reinstall.weak_spec ())
-      ~burst:4 ~warmup:5_000 ~horizon:10_000 ~jobs:1 ~trials:1 ~seed:3L ()
-  in
-  let snap = Obs.snapshot () in
-  let covers prefix =
-    List.exists
-      (fun (row : Obs.row) -> String.starts_with ~prefix row.Obs.name)
-      snap.Obs.rows
-  in
-  let families = [ "machine."; "device."; "fault."; "campaign"; "pool." ] in
-  let missing = List.filter (fun family -> not (covers family)) families in
-  let events = List.length snap.Obs.recent_events in
-  Obs.set_enabled false;
-  Obs.reset ();
-  Format.printf "== Metrics-dump smoke (registry coverage) ==@.";
-  Format.printf "  registry rows:                 %11d@."
-    (List.length snap.Obs.rows);
-  Format.printf "  recent events:                 %11d@." events;
-  (match missing with
-  | [] ->
-    Format.printf "  families covered:              %11s@.@." "yes"
-  | missing ->
-    Format.printf "  MISSING families:              %s@.@."
-      (String.concat " " missing));
-  [ ("obs-smoke-rows", float_of_int (List.length snap.Obs.rows));
-    ("obs-smoke-events", float_of_int events);
-    ("obs-smoke-families-covered", if missing = [] then 1.0 else 0.0) ]
-
 (* Flat JSON object of benchmark name -> number, so runs can be diffed
    mechanically.  Written by hand to keep the harness dependency-free.
    Every file leads with [cores]: a row labelled jobs:4 runs
@@ -903,13 +843,11 @@ let () =
   print_guest_cycle_costs costs;
   let design_rows = design_costs () in
   let micro = run_micro () in
-  let obs_rows = obs_dump_smoke () in
   if not smoke then begin
     write_json ~path:"BENCH_machine.json" micro (costs @ design_rows);
     write_flat_json ~path:"BENCH_experiments.json" campaign_rows;
     write_flat_json ~path:"BENCH_net.json" net_rows;
     write_flat_json ~path:"BENCH_rsm.json" rsm_rows;
     write_flat_json ~path:"BENCH_fuzz.json" fuzz_rows;
-    write_flat_json ~path:"BENCH_adversary.json" adversary_rows;
-    write_flat_json ~path:"BENCH_obs.json" obs_rows
+    write_flat_json ~path:"BENCH_adversary.json" adversary_rows
   end

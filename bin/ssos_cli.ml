@@ -171,8 +171,8 @@ let demo design =
 
 let print_table format table =
   match format with
-  | "json" -> print_endline (Ssos_experiments.Table.to_json table)
-  | _ -> Format.printf "%a@." Ssos_experiments.Table.pp table
+  | `Json -> print_endline (Ssos_experiments.Table.to_json table)
+  | `Text -> Format.printf "%a@." Ssos_experiments.Table.pp table
 
 let experiment id format jobs =
   if String.lowercase_ascii id = "all" then begin
@@ -239,8 +239,8 @@ let trace design ticks entries format =
   let trace = Ssx.Trace.create ~capacity:entries () in
   Ssx.Trace.run trace machine ~ticks;
   (match format with
-  | "json" -> print_endline (Ssx.Trace.to_json trace)
-  | _ ->
+  | `Json -> print_endline (Ssx.Trace.to_json trace)
+  | `Text ->
     Format.printf "last %d events of %s after %d ticks:@.%a@." entries
       (design_name design) ticks Ssx.Trace.dump trace);
   Ssos_obs.Obs.publish (counts ());
@@ -672,6 +672,26 @@ let fuzz seed iters jobs out replay_path =
 
 let () =
   let open Cmdliner in
+  (* Range-checked flag values: a value out of range is a usage error
+     that names the flag (exit 124), not an exception from the library
+     check it would trip mid-run. *)
+  let bounded expected ok conv =
+    let parse s =
+      match Arg.conv_parser conv s with
+      | Ok v when ok v -> Ok v
+      | Ok _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+      | Error _ as e -> e
+    in
+    Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+  in
+  let int_from lo =
+    bounded (Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo) Arg.int
+  in
+  let probability =
+    bounded "a number in [0, 1]" (fun p -> p >= 0. && p <= 1.) Arg.float
+  in
   (* Wrap a deferred command body with the global [--metrics] flag: the
      flag parses for every subcommand, and the body only runs under
      [run_with_metrics]. *)
@@ -691,19 +711,32 @@ let () =
       (with_metrics Term.(const (fun d () -> demo d) $ design_arg))
   in
   let id_arg = Arg.(value & pos 0 string "all" & info [] ~docv:"ID") in
+  (* Without --jobs the pool reads SSOS_JOBS, so a malformed value is
+     a usage error here rather than an exception mid-run. *)
   let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for campaign trials (default: the SSOS_JOBS \
-             environment variable, else the recommended domain count).")
+    let check = function
+      | Some _ as jobs -> `Ok jobs
+      | None -> (
+        match Pool.default_jobs () with
+        | _ -> `Ok None
+        | exception Invalid_argument msg -> `Error (false, msg))
+    in
+    Term.(
+      ret
+        (const check
+        $ Arg.(
+            value
+            & opt (some (int_from 1)) None
+            & info [ "j"; "jobs" ] ~docv:"N"
+                ~doc:
+                  "Worker domains for campaign trials (default: the \
+                   SSOS_JOBS environment variable, else the recommended \
+                   domain count).")))
   in
   let format_arg =
     Arg.(
       value
-      & opt string "text"
+      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FORMAT"
           ~doc:"Output format: $(b,text) (aligned columns) or $(b,json).")
   in
@@ -737,8 +770,12 @@ let () =
     Cmd.v (Cmd.info "listing" ~doc:"Disassemble an assembled figure")
       (with_metrics Term.(const (fun w () -> listing w) $ which_arg))
   in
-  let ticks_arg = Arg.(value & opt int 30_000 & info [ "ticks" ] ~docv:"N") in
-  let entries_arg = Arg.(value & opt int 40 & info [ "entries" ] ~docv:"N") in
+  let ticks_arg =
+    Arg.(value & opt (int_from 0) 30_000 & info [ "ticks" ] ~docv:"N")
+  in
+  let entries_arg =
+    Arg.(value & opt (int_from 1) 40 & info [ "entries" ] ~docv:"N")
+  in
   let trace_cmd =
     Cmd.v (Cmd.info "trace" ~doc:"Run a design and dump its last events")
       (with_metrics
@@ -746,8 +783,12 @@ let () =
            const (fun d ticks entries format () -> trace d ticks entries format)
            $ design_arg $ ticks_arg $ entries_arg $ format_arg))
   in
-  let burst_arg = Arg.(value & opt int 40 & info [ "burst" ] ~docv:"N") in
-  let trials_arg = Arg.(value & opt int 20 & info [ "trials" ] ~docv:"N") in
+  let burst_arg =
+    Arg.(value & opt (int_from 0) 40 & info [ "burst" ] ~docv:"N")
+  in
+  let trials_arg =
+    Arg.(value & opt (int_from 1) 20 & info [ "trials" ] ~docv:"N")
+  in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
   let campaign_design_conv =
     Arg.enum
@@ -768,35 +809,35 @@ let () =
   in
   let nodes_arg =
     Arg.(
-      value & opt int 4
+      value & opt (int_from 2) 4
       & info [ "nodes" ] ~docv:"N" ~doc:"Ring size (at least 2).")
   in
   let drop_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "drop" ] ~docv:"P" ~doc:"Per-message link drop probability.")
   in
   let corrupt_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "corrupt" ] ~docv:"P"
           ~doc:"Per-message link byte-corruption probability.")
   in
   let delay_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_from 0) 0
       & info [ "delay" ] ~docv:"N"
           ~doc:"Maximum extra delivery delay in cluster steps.")
   in
   let limit_arg =
     Arg.(
-      value & opt int 5_000
+      value & opt (int_from 0) 5_000
       & info [ "limit" ] ~docv:"N"
           ~doc:"Give up after this many cluster steps.")
   in
   let latency_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_from 1) 1
       & info [ "latency" ] ~docv:"N"
           ~doc:"Minimum link latency in cluster steps (at least 1).")
   in
@@ -815,18 +856,18 @@ let () =
   in
   let rsm_nodes_arg =
     Arg.(
-      value & opt int 5
+      value & opt (int_from 2) 5
       & info [ "nodes" ] ~docv:"N" ~doc:"Replica count (at least 2).")
   in
   let rate_arg =
     Arg.(
-      value & opt float 0.05
+      value & opt probability 0.05
       & info [ "rate" ] ~docv:"P"
           ~doc:"Per-replica-slot client request probability.")
   in
   let faults_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_from 0) 0
       & info [ "faults" ] ~docv:"N"
           ~doc:
             "Machine faults injected across random replicas before the \
@@ -834,7 +875,7 @@ let () =
   in
   let steps_arg =
     Arg.(
-      value & opt int 1_200
+      value & opt (int_from 0) 1_200
       & info [ "steps" ] ~docv:"N" ~doc:"Serve-phase length in cluster steps.")
   in
   let rsm_cmd =
@@ -853,7 +894,7 @@ let () =
   in
   let fault_rate_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "fault-rate" ] ~docv:"P"
           ~doc:
             "Per-step probability of a background fault landing on a \
@@ -861,13 +902,13 @@ let () =
   in
   let duration_arg =
     Arg.(
-      value & opt int 3_000
+      value & opt (int_from 0) 3_000
       & info [ "duration" ] ~docv:"N"
           ~doc:"Cluster steps to serve after warmup.")
   in
   let epoch_arg =
     Arg.(
-      value & opt int 150
+      value & opt (int_from 1) 150
       & info [ "epoch" ] ~docv:"N"
           ~doc:
             "Observation window in cluster steps: metrics, detection and \
@@ -875,7 +916,7 @@ let () =
   in
   let slo_arg =
     Arg.(
-      value & opt float 0.85
+      value & opt probability 0.85
       & info [ "slo" ] ~docv:"A"
           ~doc:
             "Availability floor in [0,1]: a trailing window below it is an \
@@ -884,7 +925,7 @@ let () =
   in
   let slo_p99_arg =
     Arg.(
-      value & opt int 0
+      value & opt (int_from 0) 0
       & info [ "slo-p99" ] ~docv:"N"
           ~doc:
             "Optional p99 latency ceiling in cluster steps (0 disables the \
@@ -892,7 +933,7 @@ let () =
   in
   let serve_latency_arg =
     Arg.(
-      value & opt int 2
+      value & opt (int_from 1) 2
       & info [ "latency" ] ~docv:"N"
           ~doc:"Link latency in cluster steps (at least 1).")
   in
@@ -942,28 +983,30 @@ let () =
   in
   let victim_arg =
     Arg.(
-      value & opt int 1
+      value & opt (int_from 0) 1
       & info [ "victim" ] ~docv:"I"
-          ~doc:"Victim node for the starve and crash daemons.")
+          ~doc:"Victim node for the starve and crash daemons (below --nodes).")
   in
   let down_from_arg =
     Arg.(
-      value & opt int 200
+      value & opt (int_from 0) 200
       & info [ "down-from" ] ~docv:"N"
           ~doc:"First step of the crash daemon's outage window.")
   in
   let down_for_arg =
     Arg.(
-      value & opt int 400
+      value & opt (int_from 0) 400
       & info [ "down-for" ] ~docv:"N"
           ~doc:"Length of the crash daemon's outage window.")
   in
   let period_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_from 1)) None
       & info [ "period" ] ~docv:"N"
-          ~doc:"Make the crash daemon's outages recur with this period.")
+          ~doc:
+            "Make the crash daemon's outages recur with this period (at \
+             least --down-for).")
   in
   let rsm_flag =
     Arg.(
@@ -976,7 +1019,7 @@ let () =
   in
   let adv_trials_arg =
     Arg.(
-      value & opt int 3
+      value & opt (int_from 1) 3
       & info [ "trials" ] ~docv:"N" ~doc:"Adversarial trials to run.")
   in
   let adversary_cmd =
@@ -988,17 +1031,26 @@ let () =
             verify the worst-case bound dominates the observed moves")
       (with_metrics
          Term.(
-           const (fun rsm nodes daemon victim down_from down_for period drop
-                      trials seed limit () ->
-               adversary rsm nodes daemon victim down_from down_for period
-                 drop trials seed limit)
-           $ rsm_flag $ nodes_arg $ daemon_arg $ victim_arg $ down_from_arg
-           $ down_for_arg $ period_arg $ drop_arg $ adv_trials_arg $ seed_arg
-           $ limit_arg))
+           ret
+             (const (fun rsm nodes daemon victim down_from down_for period
+                         drop trials seed limit ->
+                  match (daemon, period) with
+                  | (`Starve | `Crash), _ when victim >= nodes ->
+                    `Error (true, "--victim must be below --nodes")
+                  | `Crash, Some p when p < down_for ->
+                    `Error (true, "--period must be at least --down-for")
+                  | _ ->
+                    `Ok
+                      (fun () ->
+                        adversary rsm nodes daemon victim down_from down_for
+                          period drop trials seed limit))
+             $ rsm_flag $ nodes_arg $ daemon_arg $ victim_arg $ down_from_arg
+             $ down_for_arg $ period_arg $ drop_arg $ adv_trials_arg
+             $ seed_arg $ limit_arg)))
   in
   let iters_arg =
     Arg.(
-      value & opt int 2_000
+      value & opt (int_from 1) 2_000
       & info [ "iters" ] ~docv:"N" ~doc:"Differential programs to run.")
   in
   let out_arg =

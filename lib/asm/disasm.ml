@@ -4,7 +4,7 @@ type entry = {
   instruction : Ssx.Instruction.t;
 }
 
-let disassemble ?(origin = 0) code =
+let disassemble code =
   let n = String.length code in
   let rec sweep pos acc =
     if pos >= n then List.rev acc
@@ -12,7 +12,7 @@ let disassemble ?(origin = 0) code =
       let instruction, len = Ssx.Codec.decode_bytes code ~pos in
       let len = min len (n - pos) in
       let entry =
-        { offset = origin + pos; bytes = String.sub code pos len; instruction }
+        { offset = pos; bytes = String.sub code pos len; instruction }
       in
       sweep (pos + len) (entry :: acc)
     end
@@ -35,8 +35,8 @@ let branch_target = function
     Some target
   | _ -> None
 
-let listing ?origin ?(symbols = []) code =
-  let entries = disassemble ?origin code in
+let listing ?(symbols = []) code =
+  let entries = disassemble code in
   let label_of offset =
     List.find_map (fun (name, v) -> if v = offset then Some name else None) symbols
   in

@@ -112,8 +112,8 @@ let checkpoint ?(watchdog_period = Layout.default_watchdog_period) ?guest () =
 
 let pet_port = 0x18
 
-let petting_guest ?(work_units = 100) () =
-  let base = Guest.heartbeat_kernel ~work_units () in
+let petting_guest () =
+  let base = Guest.heartbeat_kernel () in
   (* Insert a watchdog kick right after the heartbeat. *)
   let source =
     Str_replace.replace_first base.Guest.source

@@ -28,7 +28,7 @@ val checkpoint : ?watchdog_period:int -> ?guest:Guest.t -> unit -> System.t
 val pet_port : int
 (** I/O port the petting guest kicks its watchdog through. *)
 
-val petting_guest : ?work_units:int -> unit -> Guest.t
+val petting_guest : unit -> Guest.t
 (** The heartbeat kernel extended with a watchdog kick each iteration. *)
 
 val petted_watchdog : ?watchdog_period:int -> ?guest:Guest.t -> unit -> System.t

@@ -100,7 +100,7 @@ let task_kernel ?(tasks = 4) () =
 let journal_slots = 16
 let journal_mac = 0xA5A5
 
-let journal_kernel ?(work_units = 60) () =
+let journal_kernel () =
   let source =
     Printf.sprintf
       "; Journal kernel: a guest with a checksummed append-only journal.\n\
@@ -150,12 +150,12 @@ let journal_kernel ?(work_units = 60) () =
   { name = "journal-kernel";
     source;
     symbols =
-      [ ("WORK_UNITS", work_units); ("JOURNAL_SLOTS", journal_slots);
+      [ ("WORK_UNITS", 60); ("JOURNAL_SLOTS", journal_slots);
         ("JOURNAL_MAC", journal_mac) ] }
 
 let timer_handler_offset = 0x400
 
-let preemptive_kernel ?(work_units = 100) () =
+let preemptive_kernel () =
   let source =
     "; Preemptive kernel: the heartbeat kernel plus a timer interrupt\n\
      ; handler.  The handler counts preemptions; the main loop runs with\n\
@@ -197,7 +197,7 @@ let preemptive_kernel ?(work_units = 100) () =
   { name = "preemptive-kernel";
     source;
     symbols =
-      [ ("WORK_UNITS", work_units); ("TIMER_HANDLER", timer_handler_offset) ] }
+      [ ("WORK_UNITS", 100); ("TIMER_HANDLER", timer_handler_offset) ] }
 
 let assemble guest =
   Ssx_asm.Assemble.assemble ~origin:0

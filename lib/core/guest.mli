@@ -25,7 +25,7 @@ val heartbeat_kernel : ?work_units:int -> unit -> t
 val task_kernel : ?tasks:int -> unit -> t
 (** Round-robin task-table kernel (default 4 tasks). *)
 
-val journal_kernel : ?work_units:int -> unit -> t
+val journal_kernel : unit -> t
 (** A guest with a checksummed append-only journal ring: each iteration
     writes [(seq, seq xor journal_mac)] into one of {!journal_slots}
     slots, advances a naive (exact-boundary) write pointer and reports
@@ -40,7 +40,7 @@ val write_ptr_addr : int
 val journal_addr : int
 (** Physical addresses of the journal kernel's data structures. *)
 
-val preemptive_kernel : ?work_units:int -> unit -> t
+val preemptive_kernel : unit -> t
 (** A guest that uses the maskable timer interrupt: the main loop beats
     like {!heartbeat_kernel} with interrupts enabled, and a handler at
     {!timer_handler_offset} counts preemptions in the data area.  Wire a

@@ -200,13 +200,10 @@ let code_integrity_predicate ~guest =
   in
   Ssx_stab.Predicate.make ~name:"code-matches-golden" holds
 
-let build_custom ?nmi_counter_enabled ?hardwired_nmi ?jit
-    ?(watchdog_period = Layout.default_watchdog_period)
-    ?(code_integrity = true) ~guest ~predicates () =
+let build_custom ?(code_integrity = true) ~guest ~predicates () =
   let rom = build_rom ~guest in
   let system =
-    System.build ?nmi_counter_enabled ?hardwired_nmi ?jit
-      ~watchdog:(`Nmi watchdog_period) ~rom ~guest ()
+    System.build ~watchdog:(`Nmi Layout.default_watchdog_period) ~rom ~guest ()
   in
   let predicates =
     if code_integrity then predicates @ [ code_integrity_predicate ~guest ]
@@ -246,17 +243,9 @@ let build_custom ?nmi_counter_enabled ?hardwired_nmi ?jit
         monitor.checks <- checks);
   monitor
 
-let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?watchdog_period
-    ?(tasks = 4) ?(predicates_enabled = true) () =
-  let guest = Guest.task_kernel ~tasks () in
-  let predicates = if predicates_enabled then guest_predicates ~tasks else [] in
-  build_custom ?nmi_counter_enabled ?hardwired_nmi ?jit ?watchdog_period
-    ~code_integrity:predicates_enabled ~guest
-    ~predicates ()
+let build () =
+  build_custom ~guest:(Guest.task_kernel ~tasks:4 ())
+    ~predicates:(guest_predicates ~tasks:4) ()
 
 let detections monitor = List.rev monitor.detections
 
-let spec ?(max_gap = 8000) ?(window = 20_000) () =
-  { (Ssx_stab.Convergence.counter_spec ()) with
-    Ssx_stab.Convergence.max_gap;
-    window }

@@ -39,23 +39,14 @@ val journal_predicates : unit -> Ssx_stab.Predicate.t list
     write pointer is in range and every written journal entry carries a
     valid MAC (repair recomputes it). *)
 
-val build :
-  ?nmi_counter_enabled:bool ->
-  ?hardwired_nmi:bool ->
-  ?jit:bool ->
-  ?watchdog_period:int ->
-  ?tasks:int ->
-  ?predicates_enabled:bool ->
-  unit ->
-  t
-(** Full §4 system over the task kernel.  [predicates_enabled:false]
-    keeps only the assembly-level refresh/validation (an ablation). *)
+val build : unit -> t
+(** Full §4 system over the four-task kernel: {!build_custom} with
+    {!guest_predicates} and the golden-image predicate.  The ablation
+    that keeps only the assembly-level refresh/validation is
+    [build_custom ~guest:(Guest.task_kernel ()) ~predicates:[]
+    ~code_integrity:false ()]. *)
 
 val build_custom :
-  ?nmi_counter_enabled:bool ->
-  ?hardwired_nmi:bool ->
-  ?jit:bool ->
-  ?watchdog_period:int ->
   ?code_integrity:bool ->
   guest:Guest.t ->
   predicates:Ssx_stab.Predicate.t list ->
@@ -63,12 +54,9 @@ val build_custom :
   t
 (** The §4 recovery layer around {e any} guest: ROM refresh + frame
     validation + your consistency predicates (checked at every NMI and
-    exception entry).  [code_integrity] (default true) adds the
-    detection-only golden-image predicate. *)
+    exception entry), on the default NMI wiring and watchdog period.
+    [code_integrity] (default true) adds the detection-only
+    golden-image predicate. *)
 
 val detections : t -> detection list
 (** Oldest first. *)
-
-val spec :
-  ?max_gap:int -> ?window:int -> unit -> Ssx_stab.Convergence.heartbeat_spec
-(** Strict heartbeat legality (increments of one). *)

@@ -89,7 +89,7 @@ let build_rom ~variant ~guest ~with_timer =
 
 type wiring = Nmi_wired | Reset_wired
 
-let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs_label
+let build ?nmi_counter_enabled ?hardwired_nmi ?obs_label
     ?(watchdog_period = Layout.default_watchdog_period) ?(variant = Restart)
     ?(wiring = Nmi_wired) ?timer_period ?guest () =
   let guest = match guest with Some g -> g | None -> Guest.heartbeat_kernel () in
@@ -100,7 +100,7 @@ let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs_label
     | Reset_wired -> `Reset watchdog_period
   in
   let system =
-    System.build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs_label ~watchdog
+    System.build ?nmi_counter_enabled ?hardwired_nmi ?obs_label ~watchdog
       ~rom ~guest ()
   in
   (match timer_period with
@@ -112,13 +112,11 @@ let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?obs_label
   | None -> ());
   system
 
-let strict_spec ?(max_gap = 8000) ?(window = 20_000) () =
-  { (Ssx_stab.Convergence.counter_spec ()) with
-    Ssx_stab.Convergence.max_gap;
-    window }
+let strict_spec () =
+  Ssx_stab.Convergence.counter_spec ~max_gap:8000 ~window:20_000 ()
 
-let weak_spec ?(max_gap = 8000) ?(window = 20_000) () =
+let weak_spec ?(window = 20_000) () =
   { Ssx_stab.Convergence.legal_step =
       (fun prev next -> next = Ssx.Word.mask (prev + 1) || next = 1);
-    max_gap;
+    max_gap = 8000;
     window }

@@ -35,7 +35,6 @@ type wiring = Nmi_wired | Reset_wired
 val build :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
-  ?jit:bool ->
   ?obs_label:string ->
   ?watchdog_period:int ->
   ?variant:variant ->
@@ -52,12 +51,12 @@ val build :
     The machine starts at the reset vector; run it and the reinstall
     procedure boots the guest. *)
 
-val weak_spec :
-  ?max_gap:int -> ?window:int -> unit -> Ssx_stab.Convergence.heartbeat_spec
+val weak_spec : ?window:int -> unit -> Ssx_stab.Convergence.heartbeat_spec
 (** Weak legality for the heartbeat kernel under periodic restart:
     heartbeats increment by one, or restart from 1 (a new prefix of a
-    legal execution). *)
+    legal execution), at most 8,000 ticks apart; [window] (default
+    20,000) is the legal suffix a run must end with. *)
 
-val strict_spec :
-  ?max_gap:int -> ?window:int -> unit -> Ssx_stab.Convergence.heartbeat_spec
-(** Strict legality: heartbeats increment by one (no restarts). *)
+val strict_spec : unit -> Ssx_stab.Convergence.heartbeat_spec
+(** Strict legality: heartbeats increment by one (no restarts), gap and
+    window as in {!weak_spec}. *)

@@ -189,7 +189,7 @@ let build_rom ~n ~cs_check ~ip_mask ~refresh ~images =
 
 let build ?(n = 4) ?(cs_check = Strict_eq) ?(ip_mask = Windowed)
     ?(refresh = true) ?(watchdog_period = default_watchdog_period)
-    ?nmi_counter_enabled ?hardwired_nmi ?jit ?processes () =
+    ?processes () =
   let processes =
     match processes with
     | Some processes ->
@@ -200,8 +200,8 @@ let build ?(n = 4) ?(cs_check = Strict_eq) ?(ip_mask = Windowed)
   in
   let images = Array.map Process.assemble_image processes in
   let rom = build_rom ~n ~cs_check ~ip_mask ~refresh ~images in
-  let config = Layout.machine_config ?nmi_counter_enabled ?hardwired_nmi () in
-  let machine = Ssx.Machine.create ~config ?jit () in
+  let config = Layout.machine_config () in
+  let machine = Ssx.Machine.create ~config () in
   Rom_builder.install rom (Ssx.Machine.memory machine);
   (Ssx.Machine.cpu machine).Ssx.Cpu.idtr <- Layout.rom_base + Layout.idt_offset;
   (* BIOS-style initial installation of the process code (the refresh

@@ -49,9 +49,6 @@ val build :
   ?ip_mask:ip_mask ->
   ?refresh:bool ->
   ?watchdog_period:int ->
-  ?nmi_counter_enabled:bool ->
-  ?hardwired_nmi:bool ->
-  ?jit:bool ->
   ?processes:Process.t array ->
   unit ->
   t

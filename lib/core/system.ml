@@ -8,10 +8,10 @@ type t = {
   obs_label : string;
 }
 
-let build ?nmi_counter_enabled ?hardwired_nmi ?jit ?(obs_label = "")
+let build ?nmi_counter_enabled ?hardwired_nmi ?(obs_label = "")
     ?(watchdog = `Nmi Layout.default_watchdog_period) ~rom ~guest () =
   let config = Layout.machine_config ?nmi_counter_enabled ?hardwired_nmi () in
-  let machine = Ssx.Machine.create ~config ?jit () in
+  let machine = Ssx.Machine.create ~config () in
   Rom_builder.install rom (Ssx.Machine.memory machine);
   (Ssx.Machine.cpu machine).Ssx.Cpu.idtr <- Layout.rom_base + Layout.idt_offset;
   let watchdog =

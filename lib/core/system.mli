@@ -20,7 +20,6 @@ type t = {
 val build :
   ?nmi_counter_enabled:bool ->
   ?hardwired_nmi:bool ->
-  ?jit:bool ->
   ?obs_label:string ->
   ?watchdog:[ `Nmi of int | `Reset of int | `None ] ->
   rom:Rom_builder.t ->

@@ -61,9 +61,9 @@ let ring_process ~n ~index =
   in
   { Process.name = Printf.sprintf "ring-%d" index; source; symbols }
 
-let build ?(n = 4) ?watchdog_period ?cs_check ?refresh ?jit () =
+let build ?(n = 4) () =
   let processes = Array.init n (fun index -> ring_process ~n ~index) in
-  Sched.build ~n ?watchdog_period ?cs_check ?refresh ?jit ~processes ()
+  Sched.build ~n ~processes ()
 
 let states sched =
   let mem = Ssx.Machine.memory sched.Sched.machine in

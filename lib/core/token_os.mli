@@ -29,15 +29,9 @@ val ring_process : n:int -> index:int -> Process.t
 (** The SSX16 program of ring machine [index] (machine 0 is Dijkstra's
     bottom machine).  Replay-safe under the scheduler's ip mask. *)
 
-val build :
-  ?n:int ->
-  ?watchdog_period:int ->
-  ?cs_check:Sched.cs_check ->
-  ?refresh:bool ->
-  ?jit:bool ->
-  unit ->
-  Sched.t
-(** The tiny OS scheduling an [n]-machine ring (default 4). *)
+val build : ?n:int -> unit -> Sched.t
+(** The tiny OS scheduling an [n]-machine ring (default 4), with
+    {!Sched.build}'s defaults. *)
 
 val states : Sched.t -> int array
 (** Current ring counters read from shared memory. *)

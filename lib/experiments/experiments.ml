@@ -482,7 +482,7 @@ let t7_ablations ?jobs () =
 
 let t8_monitor_coverage ?jobs () =
   let seed = 8L and trials = 25 in
-  let spec = Ssos.Monitor.spec () in
+  let spec = Ssos.Reinstall.strict_spec () in
   let classes =
     [ ("task index out of range",
        fun _rng ->

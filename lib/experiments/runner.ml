@@ -338,9 +338,13 @@ let rsm_publish ~campaign outcomes summary =
   end;
   summary
 
+(* The serve phase of every rsm trial: request rate per node slot, and
+   length in cluster steps. *)
+let rsm_rate = 0.05
+let rsm_serve_steps = 1_200
+
 let rsm_campaign ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
-    ?(window = 400) ?(rate = 0.05) ?(serve_steps = 1_200) ?oversubscribe
-    ?jobs ~trials ~seed () =
+    ?(window = 400) ?oversubscribe ?jobs ~trials ~seed () =
   let outcomes =
     run_trials ?oversubscribe ?jobs ~trials
       ~warm:(fun () ->
@@ -369,19 +373,19 @@ let rsm_campaign ~build ~perturb ?(warmup = 400) ?(horizon = 2_500)
            fixed side stream, so they are independent of the
            perturbation's rng draws and identical for any jobs split.
            The slot horizon is what a round-robin node gets in
-           [serve_steps] steps, plus one: a node an unfair daemon
+           [rsm_serve_steps] steps, plus one: a node an unfair daemon
            favours draws no more than that.  The linearizability
            reference starts from replica 0's store as of serve start —
            exactly the judge's common store when converged. *)
         let n = service.Ssos_rsm.Service.n in
         let wl =
-          Ssos_rsm.Workload.open_loop ~rate
-            ~slots:(((serve_steps + n - 1) / n) + 1)
+          Ssos_rsm.Workload.open_loop ~rate:rsm_rate
+            ~slots:(((rsm_serve_steps + n - 1) / n) + 1)
             ~seed:(Ssx_faults.Rng.derive seed 0x5e12e) service
         in
         Ssos_rsm.Workload.discard wl;
         let init = Ssos_rsm.Service.kv service 0 in
-        Ssos_rsm.Workload.run wl ~steps:serve_steps;
+        Ssos_rsm.Workload.run wl ~steps:rsm_serve_steps;
         { base;
           committed = Ssos_rsm.Workload.committed wl;
           lost = Ssos_rsm.Workload.lost wl;

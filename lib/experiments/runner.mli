@@ -179,8 +179,6 @@ val rsm_campaign :
   ?warmup:int ->
   ?horizon:int ->
   ?window:int ->
-  ?rate:float ->
-  ?serve_steps:int ->
   ?oversubscribe:bool ->
   ?jobs:int ->
   trials:int ->
@@ -189,10 +187,10 @@ val rsm_campaign :
   rsm_outcome list
 (** Like {!ring_campaign}, with a serve phase appended to each trial:
     after the recovery horizon is judged, a seeded open-loop workload
-    (probability [rate] of one request per node slot, default 0.05)
-    runs for [serve_steps] cluster steps and its responses are checked
-    for linearizability.  Each node draws requests for at most
-    ⌈[serve_steps] / n⌉ + 1 slots ({!Ssos_rsm.Workload.open_loop}'s
+    (probability 0.05 of one request per node slot) runs for 1,200
+    cluster steps and its responses are checked for linearizability.
+    Each node draws requests for at most ⌈1,200 / n⌉ + 1 slots
+    ({!Ssos_rsm.Workload.open_loop}'s
     [slots], what round-robin gives it), so a node an unfair daemon
     favours injects no more.  The request streams are derived from the
     trial seed on a fixed side stream, so outcomes are bit-identical

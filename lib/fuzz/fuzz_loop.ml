@@ -62,7 +62,8 @@ let base_image =
 type trial_machine = { machine : Ssx.Machine.t; start : Ssx.Snapshot.t }
 
 let trial_machine ?jit () =
-  let machine = Ssx.Machine.create ?jit () in
+  let machine = Ssx.Machine.create () in
+  Option.iter (Ssx.Machine.set_jit machine) jit;
   Ssx.Memory.load_image (Ssx.Machine.memory machine) ~base:0 base_image;
   let r = (Ssx.Machine.cpu machine).Ssx.Cpu.regs in
   r.Ssx.Registers.sp <- 0xF000;
@@ -107,8 +108,8 @@ let reset_ref (o : Ref_interp.t) (p : Gen.program) =
   o.Ref_interp.halted <- false;
   o.Ref_interp.steps <- 0
 
-let prepare_machine ?jit p =
-  let tm = trial_machine ?jit () in
+let prepare_machine p =
+  let tm = trial_machine () in
   reset_machine tm p;
   tm.machine
 
@@ -481,7 +482,7 @@ let program_of_reproducer text =
   let image = Ssx_asm.Assemble.assemble text in
   { Gen.code = image.Ssx_asm.Assemble.bytes; schedule; steps }
 
-let replay ?jit text = run_program ?jit (program_of_reproducer text)
+let replay text = run_program (program_of_reproducer text)
 
 (* --- the campaign ------------------------------------------------------ *)
 

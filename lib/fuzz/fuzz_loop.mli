@@ -50,10 +50,11 @@ val run_program : ?jit:bool -> Gen.program -> (int * string) option
     [jit] selects the machine-side engine (the oracle is always
     {!Ref_interp}). *)
 
-val prepare_machine : ?jit:bool -> Gen.program -> Ssx.Machine.t
+val prepare_machine : Gen.program -> Ssx.Machine.t
 (** A fresh machine in the fuzzer's initial trial state (vector image,
     program code, trial register file) without stepping it — for tests
-    that want fuzz-shaped machines to snapshot or trace. *)
+    that want fuzz-shaped machines to snapshot or trace.  It runs on the
+    process default engine; {!Ssx.Machine.set_jit} switches it. *)
 
 val trial_code_base : int
 (** Physical load address of [Gen.program.code] in a trial. *)
@@ -75,8 +76,9 @@ val program_of_reproducer : string -> Gen.program
     assembler over the text, so hand-edited reproducers also work).
     @raise Failure on a text without the fuzzer's headers. *)
 
-val replay : ?jit:bool -> string -> (int * string) option
-(** [replay text] re-runs a reproducer differentially. *)
+val replay : string -> (int * string) option
+(** [replay text] re-runs a reproducer differentially, on the process
+    default engine. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit
 val pp_summary : Format.formatter -> summary -> unit

@@ -63,8 +63,7 @@ let jit_default = ref jit_env_default
 let set_jit_default v = jit_default := v
 let jit_default_enabled () = !jit_default
 
-let create ?config ?jit () =
-  let jit = match jit with Some v -> v | None -> !jit_default in
+let create ?config () =
   let mem = Memory.create () in
   let cpu = Cpu.create ?config mem in
   let m =
@@ -80,7 +79,7 @@ let create ?config ?jit () =
     (Array.unsafe_get m.ports (port land 0xff)).write width value
   in
   cpu.Cpu.io <- { Cpu.io_in; io_out };
-  set_jit m jit;
+  set_jit m !jit_default;
   m
 
 let add_device m device =

@@ -12,14 +12,15 @@
 
 type t
 
-val create : ?config:Cpu.config -> ?jit:bool -> unit -> t
-(** Fresh machine with empty memory and no devices.  [jit] (default: on
-    unless the [SSOS_JIT] environment variable is "0", "false" or
-    empty) installs the basic-block compiler ({!Block_compiler});
-    without it every step decodes the raw bytes in memory (the
-    reference interpreter the differential tests compare against).  It
-    may be toggled at any time — observable execution never changes,
-    only speed. *)
+val create : ?config:Cpu.config -> unit -> t
+(** Fresh machine with empty memory and no devices.  It runs on the
+    basic-block compiler ({!Block_compiler}) when the process default
+    says so ({!jit_default_enabled}: on unless the [SSOS_JIT]
+    environment variable is "0", "false" or empty); otherwise every
+    step decodes the raw bytes in memory (the reference interpreter
+    the differential tests compare against).  {!set_jit} switches a
+    built machine either way at any time — observable execution never
+    changes, only speed. *)
 
 val cpu : t -> Cpu.t
 val memory : t -> Memory.t
@@ -35,12 +36,12 @@ val set_jit : t -> bool -> unit
     Either way the observable execution is unchanged — only speed. *)
 
 val set_jit_default : bool -> unit
-(** Override the process-wide default for [?jit] (initially the
-    [SSOS_JIT] environment setting).  Affects machines created
-    afterwards; the CLI's [--no-jit] flag calls this. *)
+(** Override the process-wide engine default (initially the [SSOS_JIT]
+    environment setting).  Affects machines created afterwards; the
+    CLI's [--no-jit] flag calls this. *)
 
 val jit_default_enabled : unit -> bool
-(** The current process-wide [?jit] default. *)
+(** The current process-wide engine default. *)
 
 val tick_counters : t -> Tick_counters.t
 (** The machine's step-event counters: every tick since creation, on

@@ -95,12 +95,12 @@ type t = {
   n : int;
 }
 
-let build ?(n = 4) ?policy ?ticks_per_slot ?latency ?edges ?watchdog_period
-    ?capacity ?faults ?jit ~seed () =
+let build ?(n = 4) ?policy ?ticks_per_slot ?latency ?edges ?capacity ?faults
+    ~seed () =
   if n < 2 then invalid_arg "Net_ring.build: need at least two nodes";
   let systems =
     Array.init n (fun index ->
-        Ssos.Sched.build ~n:1 ?watchdog_period ?jit
+        Ssos.Sched.build ~n:1
           ~processes:[| ring_process ~bottom:(index = 0) ~index |] ())
   in
   let nodes =

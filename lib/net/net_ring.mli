@@ -43,10 +43,8 @@ val build :
   ?ticks_per_slot:int ->
   ?latency:int ->
   ?edges:(int * int) list ->
-  ?watchdog_period:int ->
   ?capacity:int ->
   ?faults:(src:int -> dst:int -> Link.fault_model) ->
-  ?jit:bool ->
   seed:int64 ->
   unit ->
   t

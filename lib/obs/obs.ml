@@ -33,34 +33,32 @@ type metric =
   | M_gauge of gauge
   | M_histogram of histogram
 
-type registered = { help : string; metric : metric }
-
 let lock = Mutex.create ()
-let table : (string, registered) Hashtbl.t = Hashtbl.create 64
+let table : (string, metric) Hashtbl.t = Hashtbl.create 64
 
 let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let counter ?(help = "") name =
+let counter name =
   with_lock (fun () ->
       match Hashtbl.find_opt table name with
-      | Some { metric = M_counter c; _ } -> c
+      | Some (M_counter c) -> c
       | Some _ | None ->
         let c = { c_name = name; value = Atomic.make 0 } in
-        Hashtbl.replace table name { help; metric = M_counter c };
+        Hashtbl.replace table name (M_counter c);
         c)
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.value by)
 let counter_value c = Atomic.get c.value
 
-let gauge ?(help = "") name =
+let gauge name =
   with_lock (fun () ->
       match Hashtbl.find_opt table name with
-      | Some { metric = M_gauge g; _ } -> g
+      | Some (M_gauge g) -> g
       | Some _ | None ->
         let g = { g_name = name; g = 0. } in
-        Hashtbl.replace table name { help; metric = M_gauge g };
+        Hashtbl.replace table name (M_gauge g);
         g)
 
 let set g v = g.g <- v
@@ -76,10 +74,10 @@ let default_buckets =
        (fun d -> [| 1. *. d; 2. *. d; 5. *. d |])
        [ 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9 ])
 
-let histogram ?(help = "") ?(buckets = default_buckets) name =
+let histogram ?(buckets = default_buckets) name =
   with_lock (fun () ->
       match Hashtbl.find_opt table name with
-      | Some { metric = M_histogram h; _ } -> h
+      | Some (M_histogram h) -> h
       | Some _ | None ->
         let h =
           { h_name = name;
@@ -90,7 +88,7 @@ let histogram ?(help = "") ?(buckets = default_buckets) name =
             h_min = infinity;
             h_max = neg_infinity }
         in
-        Hashtbl.replace table name { help; metric = M_histogram h };
+        Hashtbl.replace table name (M_histogram h);
         h)
 
 let observe h v =
@@ -132,21 +130,6 @@ let events () =
       in
       List.filter_map Fun.id slots)
 
-(* ------------------------------------------------------------ spans *)
-
-let timed name f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  if enabled () then begin
-    observe (histogram ("span." ^ name ^ "-ns")) ns;
-    set (gauge ("span." ^ name ^ ".last-ns")) ns;
-    event ~fields:[ ("ns", Printf.sprintf "%.0f" ns) ] ("span:" ^ name)
-  end;
-  (result, ns)
-
-let span name f = fst (timed name f)
-
 (* --------------------------------------------------------- snapshot *)
 
 type value =
@@ -161,14 +144,14 @@ type value =
       max : float;
     }
 
-type row = { name : string; help : string; value : value }
+type row = { name : string; value : value }
 type snapshot = { rows : row list; recent_events : event list }
 
 let snapshot () =
   let rows =
     with_lock (fun () ->
         Hashtbl.fold
-          (fun name { help; metric } acc ->
+          (fun name metric acc ->
             let value =
               match metric with
               | M_counter c -> Counter (Atomic.get c.value)
@@ -182,7 +165,7 @@ let snapshot () =
                     min = h.h_min;
                     max = h.h_max }
             in
-            { name; help; value } :: acc)
+            { name; value } :: acc)
           table [])
   in
   { rows = List.sort (fun a b -> compare a.name b.name) rows;

@@ -19,16 +19,15 @@
       count/sum/min/max side-cars (so a summary rebuilt from a
       histogram loses nothing).
 
-    On top of the registry sit {e span timers} ({!timed}/{!span}) and a
-    bounded ring buffer of structured {e events}.  One {!snapshot}
+    Beside the registry sits a bounded ring buffer of structured
+    {e events}.  One {!snapshot}
     format feeds both sinks: an aligned pretty table ({!pp_table}) and
     JSON lines ({!to_json_lines}).
 
     A count whose name ends in [{host}] depends on the host rather
     than on the run: how trials fell to pool workers, and what each
     worker's block table had already compiled.  Every other count a run
-    publishes is identical across job and shard counts (span timings
-    are the host's by nature).
+    publishes is identical across job and shard counts.
 
     The global {!enabled} switch defaults from the [SSOS_OBS]
     environment variable and is raised by the CLI's [--metrics] flag.
@@ -45,7 +44,7 @@ val set_enabled : bool -> unit
 
 type counter
 
-val counter : ?help:string -> string -> counter
+val counter : string -> counter
 (** [counter name] registers (or retrieves — the registry is flat and
     name-keyed, so the same name always yields the same instance) a
     monotonic counter. *)
@@ -62,7 +61,7 @@ val publish : (string * int) list -> unit
 
 type gauge
 
-val gauge : ?help:string -> string -> gauge
+val gauge : string -> gauge
 val set : gauge -> float -> unit
 val set_int : gauge -> int -> unit
 
@@ -72,9 +71,9 @@ type histogram
 
 val default_buckets : float array
 (** Decades from 1e2 to 1e9 with 1-2-5 steps — wide enough for tick
-    counts and span nanoseconds alike. *)
+    counts. *)
 
-val histogram : ?help:string -> ?buckets:float array -> string -> histogram
+val histogram : ?buckets:float array -> string -> histogram
 (** Fixed upper-bound buckets (ascending; an implicit +inf bucket is
     always appended). *)
 
@@ -82,18 +81,6 @@ val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 val histogram_max : histogram -> float option
-
-(** {1 Spans} *)
-
-val timed : string -> (unit -> 'a) -> 'a * float
-(** [timed name f] runs [f], returns its result and the elapsed
-    nanoseconds, and — when {!enabled} — observes the duration into
-    histogram [span.<name>-ns], sets gauge [span.<name>.last-ns] and
-    emits a [span] event.  The single timing path shared by the bench
-    harness and the CLI. *)
-
-val span : string -> (unit -> 'a) -> 'a
-(** {!timed} without the elapsed-time return. *)
 
 (** {1 Events} *)
 
@@ -125,7 +112,7 @@ type value =
       max : float;
     }
 
-type row = { name : string; help : string; value : value }
+type row = { name : string; value : value }
 
 type snapshot = { rows : row list; recent_events : event list }
 (** Rows are sorted by name. *)

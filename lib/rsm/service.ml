@@ -12,17 +12,17 @@ type t = {
    backlogs into drops; 600 leaves room for a backlog-draining pass. *)
 let default_ticks_per_slot = 600
 
-(* Client requests a replica's client NIC queues before it drops. *)
+(* Words a replica's cluster NIC queues, and client requests its
+   client NIC queues, before it drops. *)
+let cluster_capacity = 64
 let client_capacity = 8
 
 let build ?(n = 5) ?policy ?(ticks_per_slot = default_ticks_per_slot) ?latency
-    ?edges
-    ?watchdog_period ?(capacity = 64) ?faults
-    ?jit ~seed () =
+    ?watchdog_period ?faults ~seed () =
   if n < 2 then invalid_arg "Service.build: need at least two nodes";
   let systems =
     Array.init n (fun index ->
-        Ssos.Sched.build ~n:1 ?watchdog_period ?jit
+        Ssos.Sched.build ~n:1 ?watchdog_period
           ~processes:[| Replica.process ~bottom:(index = 0) ~index |] ())
   in
   (* The client NIC attaches first so each machine's port map and
@@ -42,7 +42,7 @@ let build ?(n = 5) ?policy ?(ticks_per_slot = default_ticks_per_slot) ?latency
   let nodes =
     Array.map
       (fun sched ->
-        let nic = Ssos_net.Nic.create ~capacity () in
+        let nic = Ssos_net.Nic.create ~capacity:cluster_capacity () in
         Ssos_net.Nic.attach nic sched.Ssos.Sched.machine;
         { Ssos_net.Cluster.machine = sched.Ssos.Sched.machine; nic })
       systems
@@ -56,10 +56,8 @@ let build ?(n = 5) ?policy ?(ticks_per_slot = default_ticks_per_slot) ?latency
       Ssx.Memory.read_word
         (Ssx.Machine.memory (Ssos_net.Cluster.machine cluster i))
         Replica.self_addr);
-  let edges =
-    match edges with Some e -> e | None -> Ssos_net.Cluster.ring_edges ~n
-  in
-  Ssos_net.Cluster.connect_many ?faults cluster edges;
+  Ssos_net.Cluster.connect_many ?faults cluster
+    (Ssos_net.Cluster.ring_edges ~n);
   { cluster; systems; clients; n }
 
 let counts t =

@@ -25,24 +25,20 @@ val build :
   ?policy:Ssos_net.Cluster.policy ->
   ?ticks_per_slot:int ->
   ?latency:int ->
-  ?edges:(int * int) list ->
   ?watchdog_period:int ->
-  ?capacity:int ->
   ?faults:(src:int -> dst:int -> Ssos_net.Link.fault_model) ->
-  ?jit:bool ->
   seed:int64 ->
   unit ->
   t
 (** An [n]-node service (default 5, at least 2), ring-linked
-    [i -> i+1 mod n] unless [edges] overrides the topology (the
-    protocol still assumes the ring order for its guarantees).
-    [ticks_per_slot] defaults to 600 — a replica pass (roughly 300–350
-    ticks) is longer than a {!Ssos_net.Net_ring} pass, since it serves
-    clients and retransmits a whole frame, and a slot must fit a full
-    pass plus a backlog-draining one.  [capacity] (default 64) bounds the
-    cluster NIC RX queue; the client NIC RX queue holds 8
-    requests — requests arriving into a full queue are dropped and
-    counted ({!Ssos_net.Nic.stats}).
+    [i -> i+1 mod n].  [ticks_per_slot] defaults to 600 — a replica
+    pass (roughly 300–350 ticks) is longer than a {!Ssos_net.Net_ring}
+    pass, since it serves clients and retransmits a whole frame, and a
+    slot must fit a full pass plus a backlog-draining one.  The cluster
+    NIC RX queue holds 64 words and the client NIC RX queue 8 requests
+    — requests arriving into a full queue are dropped and counted
+    ({!Ssos_net.Nic.stats}).  Every replica machine runs on the process
+    default engine; {!Ssx.Machine.set_jit} switches one afterwards.
 
     The bounded-tag protocol stabilizes for [n <= Wire.k] (= 8); larger
     clusters still run deterministically for throughput measurement,

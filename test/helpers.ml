@@ -5,10 +5,17 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let case name f = Alcotest.test_case name `Quick f
 
+(* [with_jit ~jit machine] switches [machine] to the block compiler
+   ([true]) or the plain interpreter ([false]) and returns it. *)
+let with_jit ~jit machine =
+  Ssx.Machine.set_jit machine jit;
+  machine
+
 (* Build a bare machine with a program assembled at [seg]:0 and the CPU
    pointed at it.  No ROM, no devices: pure ISA semantics. *)
 let machine_with ?(seg = 0x1000) ?(symbols = []) ?jit source =
-  let machine = Ssx.Machine.create ?jit () in
+  let machine = Ssx.Machine.create () in
+  Option.iter (Ssx.Machine.set_jit machine) jit;
   let image = Ssx_asm.Assemble.assemble ~origin:0 ~symbols source in
   Ssx.Memory.load_image (Ssx.Machine.memory machine) ~base:(seg lsl 4)
     image.Ssx_asm.Assemble.bytes;

@@ -365,7 +365,7 @@ let test_monitor_against_rebuild () =
   (* T8's shape, alternating a fault the predicates detect (task index
      out of range) with one they never see (a wild ip): a detection log
      the restore failed to rewind would show up in the odd trials. *)
-  let spec = Ssos.Monitor.spec () in
+  let spec = Ssos.Reinstall.strict_spec () in
   check_engine_against_rebuild "monitor" ~trials:4
     ~build:(fun () -> Ssos.Monitor.build ())
     ~machine:(fun monitor -> monitor.Ssos.Monitor.system.Ssos.System.machine)

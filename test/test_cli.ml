@@ -20,10 +20,11 @@ let read_all channel =
    with End_of_file -> ());
   Buffer.contents buf
 
-(* Run the CLI with [args]; returns (exit code, stdout, stderr).
-   Signals fail the test — the CLI must exit, not crash. *)
-let run_cli args =
-  let command = Printf.sprintf "%s %s" binary args in
+(* Run the CLI with [args], after the shell assignments [env] if any;
+   returns (exit code, stdout, stderr).  Signals fail the test — the
+   CLI must exit, not crash. *)
+let run_cli ?(env = "") args =
+  let command = Printf.sprintf "%s %s %s" env binary args in
   let stdout_c, stdin_c, stderr_c =
     Unix.open_process_full command (Unix.environment ())
   in
@@ -162,6 +163,50 @@ let test_no_shard_flags () =
     [ "experiment T14 --shards 2"; "cluster --shards 2"; "rsm --shards 2";
       "serve --shards 2"; "serve --jobs 2" ]
 
+(* A bad flag value is a usage error: cmdliner's exit 124, no output,
+   and a first stderr line that names the flag or variable.  The
+   library's own [invalid_arg] checks would otherwise surface as an
+   uncaught exception (exit 125), or the run would go ahead with a
+   value it cannot honour. *)
+let check_usage_error ?env ~names args =
+  let code, out, err = run_cli ?env args in
+  check_int (args ^ ": exit 124") 124 code;
+  Alcotest.(check string) (args ^ ": no output") "" out;
+  let first = List.hd (String.split_on_char '\n' err) in
+  check_bool (args ^ ": names " ^ names) true (contains first names)
+
+let test_count_below_range () =
+  List.iter
+    (fun (names, args) -> check_usage_error ~names args)
+    [ ("--nodes", "cluster --nodes 1"); ("--nodes", "adversary --nodes 1");
+      ("--nodes", "serve --nodes 1"); ("--latency", "cluster --latency 0");
+      ("--epoch", "serve --epoch 0"); ("--trials", "campaign --trials=-1");
+      ("--jobs", "campaign --jobs 0");
+      ("--period", "adversary --daemon crash --period 0 --down-for 0") ]
+
+let test_probability_out_of_range () =
+  List.iter
+    (fun (names, args) -> check_usage_error ~names args)
+    [ ("--slo", "serve --slo 1.5"); ("--drop", "rsm --drop 1.5");
+      ("--fault-rate", "serve --fault-rate 1.5") ]
+
+let test_unknown_format () =
+  List.iter
+    (fun args -> check_usage_error ~names:"--format" args)
+    [ "experiment T9 --format=xml"; "trace --format=JSON" ]
+
+let test_adversary_cross_checks () =
+  List.iter
+    (fun (names, args) -> check_usage_error ~names args)
+    [ ("--victim", "adversary --daemon starve --victim 9");
+      ("--victim", "adversary --daemon crash --nodes 3 --victim 3");
+      ("--period", "adversary --daemon crash --period 10") ]
+
+let test_malformed_jobs_variable () =
+  List.iter
+    (fun args -> check_usage_error ~env:"SSOS_JOBS=abc" ~names:"SSOS_JOBS" args)
+    [ "campaign"; "fuzz --iters 10" ]
+
 let suite =
   [ case "unknown subcommand is rejected" test_unknown_subcommand_rejected;
     case "unknown demo design is rejected" test_unknown_demo_design_rejected;
@@ -178,4 +223,11 @@ let suite =
       test_serve_require_incident_fails_fault_free;
     case "serve rejects an invalid fault rate" test_serve_rejects_bad_rate;
     case "no command takes --shards, serve takes no --jobs"
-      test_no_shard_flags ]
+      test_no_shard_flags;
+    case "a count below its range is a usage error" test_count_below_range;
+    case "a probability outside [0, 1] is a usage error"
+      test_probability_out_of_range;
+    case "an unknown --format is a usage error" test_unknown_format;
+    case "adversary: --victim past the ring, --period below --down-for"
+      test_adversary_cross_checks;
+    case "a malformed SSOS_JOBS is a usage error" test_malformed_jobs_variable ]

@@ -71,37 +71,47 @@ let jit_differential name ~ticks build =
 
 (* --- seed workloads -------------------------------------------------- *)
 
-let reinstall_restart ~jit = (Ssos.Reinstall.build ~jit ()).Ssos.System.machine
+(* Every builder makes its machine on the process default engine;
+   [Helpers.with_jit] then picks the side. *)
+let reinstall_restart ~jit =
+  Helpers.with_jit ~jit (Ssos.Reinstall.build ()).Ssos.System.machine
 
 let reinstall_continue ~jit =
-  (Ssos.Reinstall.build ~jit ~variant:Ssos.Reinstall.Continue ())
-    .Ssos.System.machine
+  Helpers.with_jit ~jit
+    (Ssos.Reinstall.build ~variant:Ssos.Reinstall.Continue ())
+      .Ssos.System.machine
 
 let reinstall_reset_wired ~jit =
-  (Ssos.Reinstall.build ~jit ~wiring:Ssos.Reinstall.Reset_wired ())
-    .Ssos.System.machine
+  Helpers.with_jit ~jit
+    (Ssos.Reinstall.build ~wiring:Ssos.Reinstall.Reset_wired ())
+      .Ssos.System.machine
 
 let reinstall_journal ~jit =
-  (Ssos.Reinstall.build ~jit ~guest:(Ssos.Guest.journal_kernel ()) ())
-    .Ssos.System.machine
+  Helpers.with_jit ~jit
+    (Ssos.Reinstall.build ~guest:(Ssos.Guest.journal_kernel ()) ())
+      .Ssos.System.machine
 
 let reinstall_preemptive ~jit =
-  (Ssos.Reinstall.build ~jit ~timer_period:700
-     ~guest:(Ssos.Guest.preemptive_kernel ()) ())
-    .Ssos.System.machine
+  Helpers.with_jit ~jit
+    (Ssos.Reinstall.build ~timer_period:700
+       ~guest:(Ssos.Guest.preemptive_kernel ()) ())
+      .Ssos.System.machine
 
 let monitor_tasks ~jit =
-  (Ssos.Monitor.build ~jit ()).Ssos.Monitor.system.Ssos.System.machine
+  Helpers.with_jit ~jit
+    (Ssos.Monitor.build ()).Ssos.Monitor.system.Ssos.System.machine
 
-let sched_default ~jit = (Ssos.Sched.build ~jit ()).Ssos.Sched.machine
+let sched_default ~jit =
+  Helpers.with_jit ~jit (Ssos.Sched.build ()).Ssos.Sched.machine
 
 let sched_paper ~jit =
-  (Ssos.Sched.build ~jit ~cs_check:Ssos.Sched.Paper_jb
-     ~ip_mask:Ssos.Sched.Paper_mask ~refresh:false ())
-    .Ssos.Sched.machine
+  Helpers.with_jit ~jit
+    (Ssos.Sched.build ~cs_check:Ssos.Sched.Paper_jb
+       ~ip_mask:Ssos.Sched.Paper_mask ~refresh:false ())
+      .Ssos.Sched.machine
 
 let token_os ~jit =
-  (Ssos.Token_os.build ~jit ()).Ssos.Sched.machine
+  Helpers.with_jit ~jit (Ssos.Token_os.build ()).Ssos.Sched.machine
 
 (* --- fault injection into code regions ------------------------------- *)
 
@@ -241,12 +251,14 @@ let faulted ?(guest_runs = true) name ~ticks ~seed ~space build =
         (s_replay.landed > 0))
 
 let reinstall_fault_target ~jit =
-  let system = Ssos.Reinstall.build ~jit () in
-  (system.Ssos.System.machine, Ssos.System.fault_system system)
+  let system = Ssos.Reinstall.build () in
+  ( Helpers.with_jit ~jit system.Ssos.System.machine,
+    Ssos.System.fault_system system )
 
 let sched_fault_target ~jit =
-  let sched = Ssos.Sched.build ~jit () in
-  (sched.Ssos.Sched.machine, Ssos.Sched.fault_system sched)
+  let sched = Ssos.Sched.build () in
+  ( Helpers.with_jit ~jit sched.Ssos.Sched.machine,
+    Ssos.Sched.fault_system sched )
 
 (* Corruption aimed exclusively at the guest image (code included): the
    §5.2 hazard in its purest form — code bytes change under the
@@ -365,7 +377,9 @@ let oracle_trial ?(symbols = []) ~ticks source =
   | Some (tick, detail) ->
     Alcotest.failf "raw interpreter and oracle diverge at tick %d: %s" tick
       detail);
-  let machine = Ssx_fuzz.Fuzz_loop.prepare_machine ~jit:false program in
+  let machine =
+    Helpers.with_jit ~jit:false (Ssx_fuzz.Fuzz_loop.prepare_machine program)
+  in
   Ssx.Machine.run machine ~ticks;
   Helpers.regs machine
 
@@ -662,9 +676,12 @@ let nic_summary nic =
    with requests and ring frames delivered between chunks. *)
 let serve_replica ~jit =
   let service =
-    Ssos_rsm.Service.build ~n:2 ~watchdog_period:3_000 ~jit ~seed:41L ()
+    Ssos_rsm.Service.build ~n:2 ~watchdog_period:3_000 ~seed:41L ()
   in
-  let machine = Ssos_net.Cluster.machine service.Ssos_rsm.Service.cluster 0 in
+  let machine =
+    Helpers.with_jit ~jit
+      (Ssos_net.Cluster.machine service.Ssos_rsm.Service.cluster 0)
+  in
   let client = service.Ssos_rsm.Service.clients.(0) in
   let ring = Ssos_net.Cluster.nic service.Ssos_rsm.Service.cluster 0 in
   let host i =
@@ -689,6 +706,53 @@ let test_window_serve_replica () =
   in
   Helpers.check_bool "the replica polled its NICs" true
     (Ssx.Memory.write_count (Ssx.Machine.memory machine) > 0)
+
+(* The ring node, whose guest has the shortest quiet windows of any
+   workload: two identical 4-node rings over latency-2 lossy links,
+   every node of one on the plain interpreter, corrupted alike and
+   stepped in odd-sized chunks of cluster steps.  Counters, views and
+   the cluster digest must agree after every chunk. *)
+let test_window_ring_nodes () =
+  let ring ~jit =
+    let ring =
+      Ssos_net.Net_ring.build ~n:4 ~latency:2
+        ~faults:(fun ~src:_ ~dst:_ ->
+          Ssos_net.Link.lossy ~drop:0.1 ~max_delay:2 ())
+        ~seed:53L ()
+    in
+    Array.iter
+      (fun sched -> Ssx.Machine.set_jit sched.Ssos.Sched.machine jit)
+      ring.Ssos_net.Net_ring.systems;
+    Ssos_net.Net_ring.corrupt (Ssx_faults.Rng.create 54L) ring;
+    ring
+  in
+  let compiled = ring ~jit:true and interpreted = ring ~jit:false in
+  let show a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  List.iteri
+    (fun i steps ->
+      let agree what read =
+        let c = read compiled and r = read interpreted in
+        if c <> r then
+          Alcotest.failf
+            "ring nodes: %s diverge after chunk %d (%d steps): %s vs %s" what
+            i steps c r
+      in
+      Ssos_net.Cluster.run_sharded compiled.Ssos_net.Net_ring.cluster ~steps;
+      Ssos_net.Cluster.run_sharded interpreted.Ssos_net.Net_ring.cluster ~steps;
+      agree "states" (fun r -> show (Ssos_net.Net_ring.states r));
+      agree "views" (fun r -> show (Ssos_net.Net_ring.views r));
+      agree "digests" (fun r ->
+          Ssos_net.Cluster.digest r.Ssos_net.Net_ring.cluster))
+    odd_chunks;
+  let block_ticks =
+    Array.fold_left
+      (fun sum sched ->
+        sum
+        + Ssx.Block_compiler.block_ticks
+            (jit_of "ring nodes" sched.Ssos.Sched.machine))
+      0 compiled.Ssos_net.Net_ring.systems
+  in
+  Helpers.check_bool "ring nodes: compiled blocks fired" true (block_ticks > 0)
 
 (* An interrupting NIC next to the watchdog: while its RX queue is empty
    it never bounds a window; a delivery between chunks raises the
@@ -891,7 +955,7 @@ let test_rep_bursts () =
    [Machine.run] chunks, and must match the plain interpreter's digest
    after every chunk. *)
 let fuzz_window_machine ~jit p =
-  let m = Ssx_fuzz.Fuzz_loop.prepare_machine ~jit p in
+  let m = Helpers.with_jit ~jit (Ssx_fuzz.Fuzz_loop.prepare_machine p) in
   let wd =
     Ssx_devices.Watchdog.create ~period:37 ~target:Ssx_devices.Watchdog.Nmi_pin
   in
@@ -937,7 +1001,7 @@ let test_window_generated_programs () =
    the reference for every differential here: it keeps nothing decoded
    between ticks. *)
 let write_sources ~jit () =
-  let machine = Ssx.Machine.create ~jit () in
+  let machine = Helpers.with_jit ~jit (Ssx.Machine.create ()) in
   let mem = Ssx.Machine.memory machine in
   let compiler = if jit then Some (jit_of "write sources" machine) else None in
   let regs = Helpers.regs machine in
@@ -1174,7 +1238,8 @@ let burst ~seed ~n fault_system space =
        ~space n)
 
 let reinstall_burst ~jit ~seed =
-  let system = Ssos.Reinstall.build ~jit () in
+  let system = Ssos.Reinstall.build () in
+  Ssx.Machine.set_jit system.Ssos.System.machine jit;
   Ssos.System.run system ~ticks:5_000;
   burst ~seed ~n:60 (Ssos.System.fault_system system)
     Ssos.System.default_fault_space;
@@ -1182,15 +1247,17 @@ let reinstall_burst ~jit ~seed =
 
 let preemptive_timer ~jit ~seed =
   let system =
-    Ssos.Reinstall.build ~jit ~timer_period:700
+    Ssos.Reinstall.build ~timer_period:700
       ~guest:(Ssos.Guest.preemptive_kernel ()) ()
   in
+  Ssx.Machine.set_jit system.Ssos.System.machine jit;
   Ssos.System.run system ~ticks:(2_000 + seed);
   system.Ssos.System.machine
 
 let monitor_burst ~jit ~seed =
-  let monitor = Ssos.Monitor.build ~jit () in
+  let monitor = Ssos.Monitor.build () in
   let system = monitor.Ssos.Monitor.system in
+  Ssx.Machine.set_jit system.Ssos.System.machine jit;
   Ssos.System.run system ~ticks:30_000;
   burst ~seed ~n:40 (Ssos.System.fault_system system)
     Ssos.System.default_fault_space;
@@ -1205,7 +1272,7 @@ let monitor_burst ~jit ~seed =
    [ss]:([sp] + [seed]).  This is the IDTR hazard of the paper's §1 in
    its purest form; where the frames land decides what else happens. *)
 let storm ?(rom = []) ?(psw = 0) ?(cs = 0) ~ss ~sp ~idtr ~jit ~seed () =
-  let machine = Ssx.Machine.create ~jit () in
+  let machine = Helpers.with_jit ~jit (Ssx.Machine.create ()) in
   let mem = Ssx.Machine.memory machine in
   let cpu = Ssx.Machine.cpu machine in
   let entry = idtr + (4 * Ssx.Cpu.vec_invalid_opcode) in
@@ -1227,7 +1294,8 @@ let clear_storm = storm ~ss:0x1000 ~sp:0x5000 ~idtr:0x7D090
    reinstall, 10,000 warmup ticks, a 10-fault burst.  Trials 6 and 31
    corrupt the IDTR into a one-address #UD loop. *)
 let campaign_t1_trial ~jit ~seed =
-  let system = Ssos.Reinstall.build ~jit () in
+  let system = Ssos.Reinstall.build () in
+  Ssx.Machine.set_jit system.Ssos.System.machine jit;
   Ssos.System.run system ~ticks:10_000;
   ignore
     (Ssx_faults.Injector.inject_now (Ssos.System.fault_system system)
@@ -1312,8 +1380,9 @@ let storm_suite =
    though the jit checks its predicates from inside quiet windows. *)
 let test_monitor_detections_engine_independent () =
   let run ~jit ~seed =
-    let monitor = Ssos.Monitor.build ~jit () in
+    let monitor = Ssos.Monitor.build () in
     let system = monitor.Ssos.Monitor.system in
+    Ssx.Machine.set_jit system.Ssos.System.machine jit;
     Ssos.System.run system ~ticks:30_000;
     burst ~seed ~n:40 (Ssos.System.fault_system system)
       Ssos.System.default_fault_space;
@@ -1399,6 +1468,8 @@ let suite =
     Helpers.case "jit self-loops: device path" test_self_loops_device_path;
     Helpers.case "jit window: serve replica, watchdog + two NICs"
       test_window_serve_replica;
+    Helpers.case "jit window: 4-node ring over lossy links"
+      test_window_ring_nodes;
     Helpers.case "jit window: irq-armed NIC + watchdog" test_window_irq_nic;
     Helpers.case "jit window: petted watchdog" test_window_petted_watchdog;
     Helpers.case "jit rep bursts: self-patch, DF=1, ROM" test_rep_bursts;

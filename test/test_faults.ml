@@ -139,9 +139,10 @@ let test_run_poisson_matches_per_tick_reference () =
   let rate = 0.0005 and ticks = 60_000 in
   let space = Ssos.System.default_fault_space in
   let reference =
-    let system = Ssos.Reinstall.build ~jit:false () in
+    let system = Ssos.Reinstall.build () in
     let fault_system = Ssos.System.fault_system system in
     let machine = system.Ssos.System.machine in
+    Ssx.Machine.set_jit machine false;
     let rng = Ssx_faults.Rng.create 41L in
     let landed = ref [] in
     for _ = 1 to ticks do

@@ -76,7 +76,7 @@ let test_snapshot_roundtrip_fuzzed () =
 
 (* Replay one program with its NMI schedule and digest the trace. *)
 let trace_digest ~jit program =
-  let machine = FL.prepare_machine ~jit program in
+  let machine = Helpers.with_jit ~jit (FL.prepare_machine program) in
   let trace = Ssx.Trace.create ~capacity:256 () in
   let schedule = ref program.Gen.schedule in
   for tick = 0 to program.Gen.steps - 1 do
@@ -164,7 +164,7 @@ let test_regressions_replay () =
       let text = read_file (Filename.concat dir file) in
       List.iter
         (fun jit ->
-          match FL.replay ~jit text with
+          match FL.run_program ~jit (FL.program_of_reproducer text) with
           | None -> ()
           | Some (tick, detail) ->
               Alcotest.failf "%s (jit:%b) diverges at tick %d: %s" file jit

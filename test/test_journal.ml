@@ -18,7 +18,7 @@ let end_tick monitor =
 
 let strictly_legal monitor =
   Ssx_stab.Convergence.converged
-    (Ssx_stab.Convergence.judge ~spec:(Ssos.Monitor.spec ())
+    (Ssx_stab.Convergence.judge ~spec:(Ssos.Reinstall.strict_spec ())
        ~samples:(samples monitor) ~end_tick:(end_tick monitor))
 
 let mem monitor = Ssx.Machine.memory monitor.Ssos.Monitor.system.Ssos.System.machine
@@ -82,7 +82,7 @@ let test_mac_repaired () =
 
 let test_recovers_from_bursts () =
   let rng = Ssx_faults.Rng.create 63L in
-  let spec = Ssos.Monitor.spec () in
+  let spec = Ssos.Reinstall.strict_spec () in
   for _ = 1 to 8 do
     let monitor = build () in
     Ssos.System.run monitor.Ssos.Monitor.system ~ticks:30_000;

@@ -10,7 +10,7 @@ let end_tick monitor =
 
 let strictly_legal monitor =
   Ssx_stab.Convergence.converged
-    (Ssx_stab.Convergence.judge ~spec:(Ssos.Monitor.spec ())
+    (Ssx_stab.Convergence.judge ~spec:(Ssos.Reinstall.strict_spec ())
        ~samples:(samples monitor) ~end_tick:(end_tick monitor))
 
 let test_clean_run_strongly_legal () =
@@ -104,7 +104,10 @@ let test_exception_escalation_without_predicates () =
   (* With predicates disabled nothing repairs a zero divisor; the
      repeat-exception latch must escalate to the full reinstall, which
      restores the golden data. *)
-  let monitor = Ssos.Monitor.build ~predicates_enabled:false () in
+  let monitor =
+    Ssos.Monitor.build_custom ~guest:(Ssos.Guest.task_kernel ()) ~predicates:[]
+      ~code_integrity:false ()
+  in
   let system = monitor.Ssos.Monitor.system in
   Ssos.System.run system ~ticks:30_000;
   let mem = Ssx.Machine.memory system.Ssos.System.machine in

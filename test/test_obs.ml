@@ -194,27 +194,7 @@ let test_disabled_is_inert () =
   Obs.set_enabled false;
   Obs.event "never";
   check_int "no events when disabled" 0 (List.length (Obs.events ()));
-  let (), ns = Obs.timed "never-span" (fun () -> ()) in
-  check_bool "timed still measures" true (ns >= 0.);
-  check_bool "but records nothing" true (find_row "span.never-span-ns" = None);
   Obs.reset ()
-
-(* ---------------------------------------------------------- spans *)
-
-let test_timed_records_span () =
-  with_obs (fun () ->
-      let result, ns = Obs.timed "work" (fun () -> 21 * 2) in
-      check_int "result passes through" 42 result;
-      check_bool "elapsed non-negative" true (ns >= 0.);
-      (match find_row "span.work-ns" with
-      | Some { Obs.value = Obs.Histogram { count; _ }; _ } ->
-        check_int "one observation" 1 count
-      | Some _ | None -> Alcotest.fail "span histogram missing");
-      check_bool "last-ns gauge set" true (gauge_row "span.work.last-ns" >= 0.);
-      check_bool "span event emitted" true
-        (List.exists
-           (fun (e : Obs.event) -> e.Obs.name = "span:work")
-           (Obs.events ())))
 
 (* ---------------------------------------------------------- sinks *)
 
@@ -384,8 +364,6 @@ let suite =
       test_quantile_agrees_with_exact;
     case "event ring is bounded" test_event_ring_bounded;
     case "disabled switch is inert" test_disabled_is_inert;
-    case "timed spans record histogram, gauge and event"
-      test_timed_records_span;
     case "JSON lines sink" test_json_lines_shape;
     case "pretty table sink" test_pp_table_smoke;
     case "a system's counts, published end-to-end"
