@@ -14,6 +14,20 @@
 
 let ok = Cmdliner.Cmd.Exit.ok
 
+(* A run that completes but fails its own check exits 1, so a script
+   can tell it from a usage error (cmdliner's 124). *)
+let failed = 1
+
+let exits =
+  Cmdliner.Cmd.Exit.info failed
+    ~doc:
+      "on a failed run: an SLO breach or a required repair that never \
+       happened ($(b,serve)), no convergence ($(b,cluster), $(b,rsm)), \
+       served traffic with no commit or a non-linearizable response \
+       ($(b,rsm)), a domination violation ($(b,adversary)) or a \
+       divergence ($(b,fuzz))."
+  :: Cmdliner.Cmd.Exit.defaults
+
 (* ------------------------------------------------------------- metrics *)
 
 (* Every subcommand accepts a global [--metrics[=FORMAT]] flag.  Giving
@@ -332,7 +346,7 @@ let cluster nodes drop corrupt delay limit seed latency =
   | None ->
     Format.printf "no convergence within %d cluster steps@." limit;
     Ssos_obs.Obs.publish (Ssos_net.Net_ring.counts ring);
-    Cmdliner.Cmd.Exit.cli_error)
+    failed)
 
 (* ----------------------------------------------------------------- rsm *)
 
@@ -408,8 +422,7 @@ let rsm nodes drop rate faults steps limit seed latency =
     (if linearized then "responses linearizable"
      else "RESPONSES NOT LINEARIZABLE");
   Ssos_obs.Obs.publish (Ssos_rsm.Service.counts service);
-  if converged && committed > 0 && linearized then ok
-  else Cmdliner.Cmd.Exit.cli_error
+  if converged && committed > 0 && linearized then ok else failed
 
 (* --------------------------------------------------------------- serve *)
 
@@ -475,10 +488,10 @@ let serve nodes rate fault_rate duration epoch slo_avail slo_p99 seed latency
     (if s.slo_met then "MET" else "BREACHED");
   if require_incident && s.repaired = 0 then begin
     Format.printf "required a detected+repaired incident: none closed@.";
-    Cmdliner.Cmd.Exit.cli_error
+    failed
   end
   else if s.slo_met then ok
-  else Cmdliner.Cmd.Exit.cli_error
+  else failed
 
 (* ----------------------------------------------------------- adversary *)
 
@@ -499,7 +512,7 @@ let make_daemon daemon victim down_from down_for period =
 (* Exhaustively analyze the abstract ring when the state space fits,
    then drive concrete adversarial trials and check the checker's
    worst-case bound dominates the observed post-burn-in move count.
-   A domination violation is a real soundness bug: non-zero exit. *)
+   A domination violation is a real soundness bug: exit 1. *)
 let adversary_ring nodes daemon victim down_from down_for period drop trials
     seed limit =
   let k = Ssos_net.Net_ring.k in
@@ -574,7 +587,7 @@ let adversary_ring nodes daemon victim down_from down_for period drop trials
   done;
   Format.printf "recovered %d/%d, domination violations: %d@." !recovered
     trials !violations;
-  if !violations = 0 then ok else Cmdliner.Cmd.Exit.cli_error
+  if !violations = 0 then ok else failed
 
 let adversary_rsm nodes daemon victim down_from down_for period drop trials
     seed limit =
@@ -642,7 +655,7 @@ let fuzz seed iters jobs out replay_path =
       ok
     | Some (tick, detail) ->
       Format.printf "%s: DIVERGES at tick %d: %s@." path tick detail;
-      Cmdliner.Cmd.Exit.cli_error)
+      failed)
   | None ->
     let t0 = Unix.gettimeofday () in
     let summary =
@@ -665,8 +678,7 @@ let fuzz seed iters jobs out replay_path =
         close_out oc;
         Format.printf "reproducer written to %s@." path)
       summary.Ssx_fuzz.Fuzz_loop.divergences;
-    if summary.Ssx_fuzz.Fuzz_loop.divergences = [] then ok
-    else Cmdliner.Cmd.Exit.cli_error
+    if summary.Ssx_fuzz.Fuzz_loop.divergences = [] then ok else failed
 
 (* ----------------------------------------------------------------- cli *)
 
@@ -843,7 +855,7 @@ let () =
   in
   let cluster_cmd =
     Cmd.v
-      (Cmd.info "cluster"
+      (Cmd.info "cluster" ~exits
          ~doc:
            "Run Dijkstra's token ring across NIC-connected machines, corrupt \
             every node, and watch the ring reconverge")
@@ -880,7 +892,7 @@ let () =
   in
   let rsm_cmd =
     Cmd.v
-      (Cmd.info "rsm"
+      (Cmd.info "rsm" ~exits
          ~doc:
            "Run the replicated key-value state machine, corrupt every \
             replica, watch it reconverge, then serve client traffic and \
@@ -947,13 +959,13 @@ let () =
       value & flag
       & info [ "require-incident" ]
           ~doc:
-            "Exit non-zero unless at least one incident was detected and \
+            "Exit 1 unless at least one incident was detected and \
              closed by a verified-healthy window (for smoke tests of the \
              full detect/repair cycle).")
   in
   let serve_cmd =
     Cmd.v
-      (Cmd.info "serve"
+      (Cmd.info "serve" ~exits
          ~doc:
            "Run the replicated service as a closed loop — continuous client \
             traffic, background faults, SLO detection, reset-pulse repair — \
@@ -1024,7 +1036,7 @@ let () =
   in
   let adversary_cmd =
     Cmd.v
-      (Cmd.info "adversary"
+      (Cmd.info "adversary" ~exits
          ~doc:
            "Exhaustively check the abstract K-state ring, then stress the \
             concrete cluster under an adversarial scheduling daemon and \
@@ -1067,7 +1079,7 @@ let () =
   in
   let fuzz_cmd =
     Cmd.v
-      (Cmd.info "fuzz"
+      (Cmd.info "fuzz" ~exits
          ~doc:
            "Differentially fuzz the machine against the independent reference \
             interpreter")
@@ -1079,7 +1091,7 @@ let () =
   in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info =
-    Cmd.info "ssos" ~version:"1.0.0"
+    Cmd.info "ssos" ~version:"1.0.0" ~exits
       ~doc:
         "Reproduction of 'Toward Self-Stabilizing Operating Systems' (Dolev & \
          Yagel)"

@@ -411,10 +411,11 @@ let t7_ablations ?jobs () =
            Ssos.System.run system ~ticks:400_000;
            heartbeat_outcome ~spec ~faults_end:30_000 system))
   in
-  (* The wedge is deterministic: every trial of a row is the same run. *)
+  (* The wedge is deterministic (a trial would not read its index), so
+     each row is one run. *)
   let wedge_row label build =
     rate_row label
-      (system_trials ?jobs ~trials ~build ~warmup:30_000 (fun system _ ->
+      (system_trials ?jobs ~trials:1 ~build ~warmup:30_000 (fun system _ ->
            silent_wedge system;
            Ssos.System.run system ~ticks:300_000;
            heartbeat_outcome ~spec ~faults_end:30_000 system))

@@ -28,7 +28,7 @@ let crash ?period ~down_from ~down_for ~victim () =
   if victim < 0 then invalid_arg "Adversary.crash: victim";
   if down_from < 0 || down_for < 0 then invalid_arg "Adversary.crash: window";
   (match period with
-  | Some p when p < down_for -> invalid_arg "Adversary.crash: period"
+  | Some p when p < 1 || p < down_for -> invalid_arg "Adversary.crash: period"
   | _ -> ());
   let down now =
     now >= down_from

@@ -381,6 +381,16 @@ let prop_adaptive_table_picks_the_worst_successor =
         (adaptive_view ~now:1 raw)
       = Some !best)
 
+(* --- crash daemon arguments ------------------------------------------ *)
+
+(* A period below one step is refused when the daemon is built; it used
+   to pass the [period < down_for] check at [down_for] 0 and raise
+   Division_by_zero once the ring reached [down_from]. *)
+let test_crash_rejects_zero_period () =
+  Alcotest.check_raises "period 0" (Invalid_argument "Adversary.crash: period")
+    (fun () ->
+      ignore (Adversary.crash ~period:0 ~down_from:0 ~down_for:0 ~victim:0 ()))
+
 let suite =
   [ case "campaigns are jobs and rebuild invariant under daemons"
       test_campaign_invariance_under_daemons;
@@ -393,7 +403,9 @@ let suite =
     case "distribution is exact nearest-rank" test_distribution_nearest_rank;
     case "fairness audit and its pinned expected-failure"
       test_fairness_audit;
-    case "daemon counts among the cluster's" test_daemon_counts ]
+    case "daemon counts among the cluster's" test_daemon_counts;
+    case "crash rejects a period below one step"
+      test_crash_rejects_zero_period ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_adaptive_schedules_privileged_targets;
         prop_adaptive_maximizes_its_heuristic;

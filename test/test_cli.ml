@@ -147,6 +147,16 @@ let test_serve_require_incident_fails_fault_free () =
   check_bool "non-zero exit without an incident" true (code <> 0);
   check_bool "explains the failure" true (contains out "none closed")
 
+(* A failed run exits 1 and a usage error 124, so a script can tell an
+   SLO breach from a bad flag. *)
+let test_failed_run_status () =
+  let code, _out, _err =
+    run_cli "serve --fault-rate 0.004 --seed 11 --duration 1800 --quiet"
+  in
+  check_int "SLO breach: exit 1" 1 code;
+  let code, _out, _err = run_cli "serve --slo 1.5" in
+  check_int "serve --slo 1.5: exit 124" 124 code
+
 let test_serve_rejects_bad_rate () =
   let code, _out, err = run_cli "serve --fault-rate 1.5 --duration 300" in
   check_bool "non-zero exit" true (code <> 0);
@@ -221,6 +231,7 @@ let suite =
       test_serve_slo_breach_exits_nonzero;
     case "serve --require-incident fails on a clean run"
       test_serve_require_incident_fails_fault_free;
+    case "a failed run exits 1, a usage error 124" test_failed_run_status;
     case "serve rejects an invalid fault rate" test_serve_rejects_bad_rate;
     case "no command takes --shards, serve takes no --jobs"
       test_no_shard_flags;
